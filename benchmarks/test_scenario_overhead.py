@@ -52,6 +52,13 @@ recorded ``test_bench_phase_profile`` lane additionally writes the per-phase
 breakdown (``BENCH_phase_breakdown.json``) and a perfetto-loadable Chrome
 trace (``BENCH_step_trace.trace.json``) next to the wall-clock trajectory.
 
+The sixth part gates the **LCMP register sweep** on a generated fabric:
+LCMP + DCQCN and ECMP + DCQCN run instrumented on the same 72-DC fabric in
+one process.  ECMP's ``step.monitor`` is the telemetry sweep alone; LCMP's
+adds the update of every port's congestion and liveness registers.  Gate:
+LCMP's ``step.monitor`` time per sweep is **at most 3x** ECMP's (the
+per-switch Python estimator it replaced cost ~19x here).
+
 Absolute numbers land in ``benchmarks/results/*.txt`` (see
 benchmarks/README.md); the ``@pytest.mark.benchmark`` lanes feed
 ``--benchmark-json`` so the CI benchmark jobs can record the perf
@@ -70,10 +77,11 @@ from repro.congestion_control import make_cc_factory
 from repro.obs import write_chrome_trace
 from repro.core import lcmp_router_factory
 from repro.routing import make_router_factory
+from repro.experiments import ExperimentRunner, ExperimentSpec
 from repro.scenarios import Scenario
 from repro.simulator import FluidSimulation, RuntimeNetwork, SimulationConfig
 from repro.simulator.flow import FlowDemand
-from repro.topology import build_testbed8
+from repro.topology import FabricSpec, build_testbed8
 from repro.topology import testbed8_pathset as _testbed8_pathset
 from repro.workloads import TrafficConfig, TrafficGenerator
 
@@ -609,3 +617,76 @@ def test_bench_phase_profile(benchmark):
     )
     write_chrome_trace(sim.obs, root / "BENCH_step_trace.trace.json")
     _write_results("phase_profile.txt", perf_report(result.stats))
+
+
+# ---------------------------------------------------------------------- #
+# LCMP register sweep on a generated fabric
+# ---------------------------------------------------------------------- #
+#: 4 regions x (2 cores + 4 aggs + 12 edges) = 72 DCs, 220 monitored ports
+MONITOR_FABRIC = FabricSpec(
+    name="monitor-lane", seed=5, regions=4, cores_per_region=2, aggs_per_core=2,
+    edges_per_agg=3,
+)
+MONITOR_FLOWS = 400
+#: LCMP's step.monitor time per sweep over ECMP's (ECMP's is the sweep alone)
+MAX_LCMP_MONITOR_RATIO = 3.0
+
+
+def _monitor_pairs():
+    """Edge pairs two regions apart, so traffic crosses the backbone."""
+    regions = MONITOR_FABRIC.regions
+    pairs = []
+    for r in range(regions):
+        other = (r + regions // 2) % regions
+        pairs += [(f"R{r}E0x0x0", f"R{other}E1x1x2"), (f"R{r}E1x0x1", f"R{other}E0x1x0")]
+    return tuple(pairs)
+
+
+def fabric_monitor_us_per_sweep(router: str) -> float:
+    """Mean ``step.monitor`` time per sweep (us) of one instrumented run."""
+    spec = ExperimentSpec(
+        name=f"monitor-{router}",
+        topology="fabric",
+        fabric=MONITOR_FABRIC,
+        pairs=_monitor_pairs(),
+        router=router,
+        cc="dcqcn",
+        load=0.5,
+        num_flows=_scaled(MONITOR_FLOWS),
+        seed=3,
+        instrumentation=True,
+    )
+    phase = ExperimentRunner().run(spec).result.stats["phases"]["step.monitor"]
+    return phase["total_ns"] / phase["count"] / 1e3
+
+
+@pytest.mark.benchmark(group="fabric-monitor")
+def test_bench_fabric_monitor(benchmark):
+    """Gate: LCMP's per-sweep monitor time is at most 3x ECMP's.
+
+    Both runs share one process and one fabric.  One re-measurement
+    covers an unlucky scheduling window, as for the other gates.
+    """
+    holder = {}
+
+    def go():
+        holder["lcmp"] = fabric_monitor_us_per_sweep("lcmp")
+        holder["ecmp"] = fabric_monitor_us_per_sweep("ecmp")
+
+    benchmark.pedantic(go, rounds=1, iterations=1)
+    if holder["lcmp"] / holder["ecmp"] > MAX_LCMP_MONITOR_RATIO:
+        go()
+    lcmp_us, ecmp_us = holder["lcmp"], holder["ecmp"]
+    ratio = lcmp_us / ecmp_us
+    _write_results(
+        "fabric_monitor.txt",
+        f"step.monitor per sweep ({MONITOR_FABRIC.num_dcs}-DC generated fabric, "
+        f"{_scaled(MONITOR_FLOWS)} flows, DCQCN)\n"
+        f"lcmp  : {lcmp_us:8.1f} us\n"
+        f"ecmp  : {ecmp_us:8.1f} us\n"
+        f"ratio : {ratio:8.2f}x (allowed <= {MAX_LCMP_MONITOR_RATIO:g}x)\n",
+    )
+    assert ratio <= MAX_LCMP_MONITOR_RATIO, (
+        f"LCMP step.monitor costs {ratio:.2f}x ECMP's per sweep "
+        f"({lcmp_us:.1f} us vs {ecmp_us:.1f} us)"
+    )

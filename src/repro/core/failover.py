@@ -8,35 +8,46 @@ healthy candidate.  There is no control-plane batch update of thousands of
 entries; invalid entries are overwritten one by one as their packets arrive,
 giving microsecond-scale recovery with zero instantaneous control-plane
 overhead.
+
+The liveness bit of each port is the ``up`` column of the switch's
+:class:`~repro.core.congestion.PortRegisters`, next to the congestion
+registers, so a monitor sweep refreshes it with one column copy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Set
+from typing import Optional, Set
+
+from .congestion import PortRegisters
 
 __all__ = ["PortLivenessTracker"]
 
 
-@dataclass
 class PortLivenessTracker:
     """Tracks egress-port liveness and failover statistics."""
 
-    _down: Set[str] = field(default_factory=set)
-    #: number of flow-cache entries lazily invalidated because their port died
-    lazy_invalidations: int = 0
+    def __init__(self, registers: Optional[PortRegisters] = None) -> None:
+        #: where the liveness bits live (shared with the switch's estimator
+        #: when the router passes its own)
+        self.registers = registers if registers is not None else PortRegisters()
+        #: number of flow-cache entries lazily invalidated because their port died
+        self.lazy_invalidations = 0
 
     def mark_down(self, port: str) -> None:
         """Record that ``port`` failed."""
-        self._down.add(port)
+        row = self.registers.row_for(port)  # may grow the columns
+        self.registers.columns.up[row] = False
 
     def mark_up(self, port: str) -> None:
         """Record that ``port`` recovered."""
-        self._down.discard(port)
+        row = self.registers.rows.get(port)
+        if row is not None:
+            self.registers.columns.up[row] = True
 
     def is_up(self, port: str) -> bool:
         """Liveness of ``port`` (unknown ports are considered up)."""
-        return port not in self._down
+        row = self.registers.rows.get(port)
+        return row is None or self.registers.columns.up.item(row)
 
     def observe(self, port: str, up: bool) -> None:
         """Update liveness from a monitor sample."""
@@ -52,4 +63,5 @@ class PortLivenessTracker:
     @property
     def down_ports(self) -> Set[str]:
         """Snapshot of the currently failed ports."""
-        return set(self._down)
+        up = self.registers.columns.up
+        return {port for port, row in self.registers.rows.items() if not up.item(row)}

@@ -30,7 +30,7 @@ from ..simulator.flow import FlowDemand
 from ..simulator.switch import PortSample
 from ..topology.paths import CandidatePath
 from .config import LCMPConfig
-from .congestion import CongestionEstimator
+from .congestion import CongestionEstimator, PortRegisters, RegisterColumns, observe_rows
 from .control_plane import PathKey
 from .cost_fusion import PathCost, score_candidates
 from .failover import PortLivenessTracker
@@ -55,12 +55,14 @@ class LCMPRouter(Router):
 
         self.tables: Optional[SwitchTables] = None
         self._path_scores: Dict[PathKey, int] = {}
+        #: congestion and liveness registers of this switch's ports
+        self.registers = PortRegisters()
         self.estimator: Optional[CongestionEstimator] = None
         self.flow_cache = FlowCache(
             capacity=self.config.flow_cache_capacity,
             idle_timeout_s=self.config.flow_idle_timeout_s,
         )
-        self.liveness = PortLivenessTracker()
+        self.liveness = PortLivenessTracker(self.registers)
 
         # decision statistics
         self.ecmp_fallbacks = 0
@@ -73,10 +75,26 @@ class LCMPRouter(Router):
     # control-plane installation
     # ------------------------------------------------------------------ #
     def install_tables(self, tables: SwitchTables, path_scores: Dict[PathKey, int]) -> None:
-        """Install bootstrap tables and precomputed C_path scores."""
+        """Install bootstrap tables and precomputed C_path scores.
+
+        The estimator starts from empty registers; liveness is kept.
+        """
         self.tables = tables
         self._path_scores = dict(path_scores)
-        self.estimator = CongestionEstimator(tables, self.config)
+        self.estimator = CongestionEstimator(tables, self.config, self.registers)
+        self.estimator.reset()
+        self.registers.touch()
+
+    def _bootstrap(self, cap_bps: float, buffer_bytes: float) -> None:
+        """On-demand table creation from the first monitored port of a switch
+        the control plane has not provisioned."""
+        self.tables = SwitchTables.bootstrap(
+            config=self.config,
+            max_capacity_bps=max(cap_bps, 1.0),
+            buffer_bytes=max(buffer_bytes, 1.0),
+        )
+        self.estimator = CongestionEstimator(self.tables, self.config, self.registers)
+        self.registers.touch()
 
     @property
     def installed(self) -> bool:
@@ -87,46 +105,33 @@ class LCMPRouter(Router):
     # telemetry hooks
     # ------------------------------------------------------------------ #
     def on_port_sample(self, sample: PortSample, now: float) -> None:
-        """Refresh congestion state (step 1 of the decision pipeline)."""
-        self._observe_port(
-            sample.next_dc,
-            sample.up,
-            sample.queue_bytes,
-            sample.cap_bps,
-            sample.buffer_bytes,
-            now,
-        )
+        """Refresh congestion state (step 1 of the decision pipeline).
+
+        The scalar spec of one port's update in :meth:`on_telemetry_batch`.
+        """
+        self.liveness.observe(sample.next_dc, sample.up)
+        if self.estimator is None:
+            self._bootstrap(sample.cap_bps, sample.buffer_bytes)
+        self.estimator.observe(sample.next_dc, sample.queue_bytes, sample.cap_bps, now)
 
     def on_telemetry(self, view, now: float) -> None:
-        """Columnar sweep delivery: identical per-port register updates
-        straight from the telemetry columns, no sample objects built."""
-        ups = view.up.tolist()
-        queues = view.queue_bytes.tolist()
-        caps = view.cap_bps.tolist()
-        buffers = view.buffer_bytes.tolist()
-        for i, port in enumerate(view.port_dcs):
-            self._observe_port(port, ups[i], queues[i], caps[i], buffers[i], now)
+        """One switch's sweep, through the same column update as
+        :meth:`on_telemetry_batch`."""
+        type(self).on_telemetry_batch(view.plane, [(view.switch, self)], now)
 
-    def _observe_port(
-        self,
-        port: str,
-        up: bool,
-        queue_bytes: float,
-        cap_bps: float,
-        buffer_bytes: float,
-        now: float,
-    ) -> None:
-        self.liveness.observe(port, up)
-        if self.estimator is None:
-            # the switch has not been provisioned yet; bootstrap minimal
-            # tables from what the monitor tells us (on-demand creation)
-            self.tables = SwitchTables.bootstrap(
-                config=self.config,
-                max_capacity_bps=max(cap_bps, 1.0),
-                buffer_bytes=max(buffer_bytes, 1.0),
-            )
-            self.estimator = CongestionEstimator(self.tables, self.config)
-        self.estimator.observe(port, queue_bytes, cap_bps, now)
+    @classmethod
+    def on_telemetry_batch(cls, plane, consumers, now: float) -> None:
+        """Update the registers of every consumer's ports in one sweep.
+
+        The routers' registers are bound to columns aligned with the
+        plane's port rows, so liveness is one column copy and the
+        estimator one :func:`~repro.core.congestion.observe_rows` per group
+        of switches sharing tables and config.
+        """
+        sweep = plane.router_state.get(cls)
+        if sweep is None:
+            sweep = plane.router_state[cls] = _EstimatorSweep(plane)
+        sweep.run(consumers, now)
 
     def on_tick(self, now: float) -> None:
         """Periodic garbage collection of the flow cache."""
@@ -300,3 +305,81 @@ class LCMPRouter(Router):
             "flow_cache_hits": self.flow_cache.hits,
             "flow_cache_misses": self.flow_cache.misses,
         }
+
+
+def _as_index(rows: List[int]):
+    """A slice when the increasing ``rows`` are one contiguous run (views,
+    no gathers), else an index array."""
+    if rows and rows[-1] - rows[0] + 1 == len(rows):
+        return slice(rows[0], rows[-1] + 1)
+    return np.asarray(rows, dtype=np.intp)
+
+
+class _EstimatorSweep:
+    """LCMP's register sweep over one telemetry plane.
+
+    Owns the plane-wide :class:`RegisterColumns` (row ``i`` is plane port
+    row ``i``) and a layout of the consumers' rows: all of them for the
+    liveness copy, and one group per distinct (tables, estimator config)
+    for :func:`observe_rows`.  The layout is rebuilt when the consumer list
+    changes or the columns' version moves (a switch was bound, installed
+    or bootstrapped).
+    """
+
+    def __init__(self, plane) -> None:
+        self.plane = plane
+        self.columns = RegisterColumns(plane.num_ports)
+        self._consumers = None
+        self._version = -1
+        self._rows = slice(0, 0)
+        self._groups: List[tuple] = []
+        self._uninstalled: List[tuple] = []
+
+    def _layout(self, consumers) -> None:
+        plane, columns = self.plane, self.columns
+        all_rows: List[int] = []
+        groups: Dict[tuple, tuple] = {}
+        self._uninstalled = []
+        for dc, router in consumers:
+            rows = plane.view(dc).rows
+            if router.registers.columns is not columns:
+                router.registers.bind(
+                    columns, {plane.port_dcs[i]: i for i in range(rows.start, rows.stop)}
+                )
+            all_rows.extend(range(rows.start, rows.stop))
+            estimator = router.estimator
+            if estimator is None:
+                if rows.stop > rows.start:
+                    self._uninstalled.append((router, rows.start))
+                continue
+            cfg = estimator.config
+            key = (
+                id(estimator.tables),
+                cfg.trend_ewma_shift,
+                cfg.high_water_level,
+                cfg.duration_decay,
+            )
+            group = groups.setdefault(key, (estimator.tables, cfg, []))
+            group[2].extend(range(rows.start, rows.stop))
+        self._rows = _as_index(all_rows)
+        self._groups = [
+            (_as_index(rows), tables, cfg) for tables, cfg, rows in groups.values()
+        ]
+        self._consumers = consumers
+        self._version = columns.version
+
+    def run(self, consumers, now: float) -> None:
+        if consumers is not self._consumers or self._version != self.columns.version:
+            self._layout(consumers)
+        plane, columns = self.plane, self.columns
+        if self._uninstalled:
+            # unprovisioned switches bootstrap from their first port row,
+            # as on_port_sample does from its first sample
+            for router, row in self._uninstalled:
+                router._bootstrap(float(plane.cap_bps[row]), float(plane.buffer_bytes[row]))
+            self._layout(consumers)
+        columns.up[self._rows] = plane.up[self._rows]
+        for rows, tables, cfg in self._groups:
+            observe_rows(
+                columns, rows, plane.queue_bytes[rows], plane.cap_bps[rows], now, tables, cfg
+            )

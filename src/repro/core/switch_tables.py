@@ -18,7 +18,10 @@ comparisons:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Sequence
+
+import numpy as np
 
 from .config import LCMPConfig
 
@@ -105,6 +108,20 @@ class SwitchTables:
     def queue_level(self, queue_bytes: float) -> int:
         """Quantised queue level ``Q`` for an instantaneous byte count."""
         return lookup_level(queue_bytes, self.queue_thresholds)
+
+    def queue_levels(self, queue_bytes: np.ndarray) -> np.ndarray:
+        """:meth:`queue_level` of every element of an array.
+
+        :func:`lookup_level` counts the thresholds after the first that
+        are not above the value, which for increasing thresholds is one
+        ``searchsorted``.
+        """
+        return self._upper_queue_thresholds.searchsorted(queue_bytes, side="right")
+
+    @cached_property
+    def _upper_queue_thresholds(self) -> np.ndarray:
+        # the tables are installed once and never edited afterwards
+        return np.asarray(self.queue_thresholds[1:], dtype=np.float64)
 
     def level_score(self, level: int) -> int:
         """0–255 score for a level index (saturating at the top level)."""

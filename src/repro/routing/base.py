@@ -22,6 +22,9 @@ Two batched entry points exist alongside the per-flow ones:
   :class:`~repro.simulator.switch.PortSample` objects and forwards them to
   :meth:`Router.on_port_sample`, so routers written against the per-sample
   hook keep working unchanged under the array-resident control plane.
+  The plane delivers through the class-level
+  :meth:`Router.on_telemetry_batch`, once per router class per sweep; its
+  default calls :meth:`Router.on_telemetry` per switch.
 """
 
 from __future__ import annotations
@@ -190,6 +193,21 @@ class Router(abc.ABC):
         """
         for sample in view.build_samples(now):
             self.on_port_sample(sample, now)
+
+    @classmethod
+    def on_telemetry_batch(cls, plane, consumers, now: float) -> None:
+        """Deliver one sweep to every consuming router of this class.
+
+        ``consumers`` lists ``(switch name, router)`` pairs, all instances
+        of ``cls``, from the
+        :class:`~repro.simulator.telemetry.TelemetryPlane` ``plane``.  The
+        default hands each router its per-switch view
+        (:meth:`on_telemetry`); a class whose per-port state can live in
+        plane-wide columns overrides this to update all of its switches
+        at once (LCMP does).
+        """
+        for dc, router in consumers:
+            router.on_telemetry(plane.view(dc), now)
 
     def consumes_telemetry(self) -> bool:
         """True when this router actually reads queue-monitor telemetry.

@@ -22,8 +22,9 @@ and does three things:
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .events import (
     DCMaintenance,
@@ -125,10 +126,18 @@ class ScenarioMetrics:
 
     scenario_name: str
     outcomes: List[EventOutcome] = field(default_factory=list)
+    #: firings scheduled after the run ended, which never happened
+    #: (``"<label> at <time> s"``; see :meth:`ScenarioInjector.finish`)
+    unfired: List[str] = field(default_factory=list)
 
     def outcome_for(self, index: int) -> EventOutcome:
         """The outcome of the ``index``-th (time-sorted) event."""
         return self.outcomes[index]
+
+    @property
+    def total_unfired(self) -> int:
+        """Scheduled firings the run ended before."""
+        return len(self.unfired)
 
     @property
     def total_disrupted(self) -> int:
@@ -207,6 +216,9 @@ class ScenarioInjector:
         self._last_disruptive_outcome: Optional[EventOutcome] = None
         #: flow id -> (owning outcome, disruption time)
         self._open_disruptions: Dict[int, Tuple[EventOutcome, float]] = {}
+        #: scheduled firings not yet fired: token -> "<label> at <time> s"
+        self._unfired: Dict[int, str] = {}
+        self._scheduled = 0
 
     def scheduled_event_times(self) -> frozenset:
         """Every instant at which this scenario schedules an engine event.
@@ -231,34 +243,67 @@ class ScenarioInjector:
     def install(self) -> None:
         """Schedule every event on the simulation's engine heap."""
         for event, outcome in zip(self._events, self.metrics.outcomes):
+            label = f"#{outcome.index} {outcome.description}"
             if isinstance(event, TrafficSurge):
                 demands = self._surge_demands(event, outcome.index)
                 outcome.flows_injected = len(demands)
                 self.sim.inject_demands(demands)
                 # the demands are scheduled now, but the surge only counts
                 # as fired if the run actually reaches its start time
-                self.sim.engine.schedule(
+                self._schedule(
                     event.time_s,
+                    label,
                     lambda o=outcome: setattr(o, "applied_s", self.sim.engine.now),
                 )
                 continue
-            self.sim.engine.schedule(
-                event.time_s,
-                lambda e=event, o=outcome: self._fire(e, o),
-            )
+            self._schedule(event.time_s, label, lambda e=event, o=outcome: self._fire(e, o))
             if isinstance(event, (DCMaintenance, RegionalPowerEvent)):
-                self.sim.engine.schedule(
+                self._schedule(
                     event.end_s,
+                    f"end of {label}",
                     lambda e=event, o=outcome: self._fire_revert(e, o),
                 )
             elif isinstance(event, SRLGFailure):
                 for link_index, repair_s in enumerate(event.recovery_times()):
-                    self.sim.engine.schedule(
+                    self._schedule(
                         repair_s,
+                        f"repair {link_index} of {label}",
                         lambda e=event, o=outcome, i=link_index: self._fire_revert_link(
                             e, o, i
                         ),
                     )
+
+    def _schedule(self, time_s: float, label: str, action: Callable[[], None]) -> None:
+        """Put one firing on the engine heap, remembered until it fires."""
+        token = self._scheduled
+        self._scheduled += 1
+        self._unfired[token] = f"{label} at {time_s:g} s"
+
+        def fire() -> None:
+            del self._unfired[token]
+            action()
+
+        self.sim.engine.schedule(time_s, fire)
+
+    def finish(self, deadline_s: float) -> None:
+        """Record the firings the run ended before, and warn once about them.
+
+        A run ends at its deadline, or earlier once every flow is done; an
+        event (or the end of a windowed event, or one repair of a staggered
+        SRLG recovery) scheduled later never fires, and its outcome keeps
+        ``applied_s`` / ``reverted_s`` at ``None``.  Such firings are
+        listed in :attr:`ScenarioMetrics.unfired`.
+        """
+        self.metrics.unfired = list(self._unfired.values())
+        if self.metrics.unfired:
+            warnings.warn(
+                f"scenario {self.scenario.name!r}: {len(self.metrics.unfired)} "
+                f"scheduled firing(s) never happened, because the run ended at "
+                f"{self.sim.engine.now:g} s (deadline {deadline_s:g} s): "
+                + "; ".join(self.metrics.unfired),
+                RuntimeWarning,
+                stacklevel=3,
+            )
 
     def _surge_demands(self, event: TrafficSurge, index: int):
         """Pre-generate one surge's demands (deterministic, ids offset)."""

@@ -414,6 +414,8 @@ class FluidSimulation:
             self.config.max_sim_time_s, last_arrival + self.config.drain_timeout_s
         )
         self.engine.run(until=deadline)
+        if self.injector is not None:
+            self.injector.finish(deadline)
         return self._build_result()
 
     # ------------------------------------------------------------------ #
@@ -1503,4 +1505,5 @@ class FluidSimulation:
                 if outcome.applied_s is not None
             )
             obs.counter("scenario.events_applied").inc(applied)
+            obs.counter("scenario.events_unfired").inc(self.injector.metrics.total_unfired)
             obs.counter("scenario.flows_failed").inc(len(self._failed))

@@ -17,11 +17,19 @@ switch and handed it to the router, whether or not the router cared.
   flow×link incidence arrays (:mod:`repro.simulator.incidence`) — the same
   arrays the update step writes — so a sweep costs O(1) numpy calls, not
   O(ports) Python object constructions;
-* **router delivery** via :meth:`~repro.routing.base.Router.on_telemetry`
-  with a :class:`TelemetryView` (a per-switch window over the columns).
-  Routers that ignore telemetry (ECMP, WCMP, UCMP) are detected once and
-  skipped entirely; routers written against the legacy per-sample hook get
+* **router delivery** through one batched hook per router class,
+  :meth:`~repro.routing.base.Router.on_telemetry_batch`, called once per
+  sweep with every consuming switch of that class.  Its default hands each
+  router a :class:`TelemetryView` (a per-switch window over the columns)
+  through :meth:`~repro.routing.base.Router.on_telemetry`, which is how
+  RedTE is fed; routers written against the legacy per-sample hook get
   lazily built :class:`PortSample` shims through the base implementation.
+  LCMP overrides the hook: its congestion and liveness registers live in
+  columns aligned with this plane's port rows (kept in
+  :attr:`TelemetryPlane.router_state`), and one vectorized update covers
+  every LCMP port, so no per-switch call happens at all.  Routers that
+  ignore telemetry (ECMP, WCMP, UCMP) are detected once and skipped
+  entirely.
 
 Bit-equivalence contract: the columns are gathered from link state that the
 vectorized cores sync back to the :class:`~repro.simulator.link.RuntimeLink`
@@ -62,6 +70,16 @@ class TelemetryView:
 
     def __len__(self) -> int:
         return self._stop - self._start
+
+    @property
+    def plane(self) -> "TelemetryPlane":
+        """The telemetry plane this view reads."""
+        return self._plane
+
+    @property
+    def rows(self) -> slice:
+        """This switch's rows in the plane's columns."""
+        return slice(self._start, self._stop)
 
     @property
     def port_dcs(self) -> List[str]:
@@ -180,6 +198,15 @@ class TelemetryPlane:
             for dc, switch in network.switches.items()
             if switch.router.consumes_telemetry()
         ]
+        #: the consumers grouped by router class, in first-seen order: each
+        #: group is one ``on_telemetry_batch`` call per sweep
+        feeds: Dict[type, List[Tuple[str, object]]] = {}
+        for dc, router in self._consumers:
+            feeds.setdefault(type(router), []).append((dc, router))
+        self._feeds = list(feeds.items())
+        #: state a router class's batched hook keeps across sweeps (LCMP's
+        #: register columns aligned with the port rows)
+        self.router_state: Dict[type, object] = {}
 
         # trace ordering: rows permuted into network.inter_dc_links order so
         # array-backed traces keep the exact key order of the object path
@@ -299,10 +326,11 @@ class TelemetryPlane:
             getattr(self, name).flags.writeable = False
 
     def feed_routers(self, now: float) -> None:
-        """Deliver the sweep to every telemetry-consuming router."""
-        for dc, router in self._consumers:
-            start, stop = self._switch_slices[dc]
-            router.on_telemetry(TelemetryView(self, dc, start, stop), now)
+        """Deliver the sweep to every telemetry-consuming router: one
+        :meth:`~repro.routing.base.Router.on_telemetry_batch` call per
+        router class."""
+        for cls, consumers in self._feeds:
+            cls.on_telemetry_batch(self, consumers, now)
 
     def observe_trace(self, trace, now: float) -> None:
         """Append this sweep's inter-DC rows to an array-backed link trace."""

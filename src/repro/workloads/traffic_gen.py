@@ -108,6 +108,7 @@ class TrafficGenerator:
             ]
         else:
             resolved = [(str(a), str(b)) for a, b in pairs]
+            self._check_endpoints(resolved)
             for src, dst in resolved:
                 if src == dst:
                     raise ValueError("traffic pairs must connect distinct DCs")
@@ -116,6 +117,24 @@ class TrafficGenerator:
         if not resolved:
             raise ValueError("no usable DC pairs for traffic generation")
         return resolved
+
+    def _check_endpoints(self, pairs: List[Tuple[str, str]]) -> None:
+        """Fail early, naming the DCs, when pairs reach outside the topology.
+
+        The default pairs name the testbed's DC1 and DC8, which a generated
+        fabric does not have.
+        """
+        topology = self.topology
+        missing = sorted({dc for pair in pairs for dc in pair} - set(topology.dcs))
+        if not missing:
+            return
+        edges = topology.dcs_matching(tier="edge") or list(topology.dcs)
+        raise ValueError(
+            f"traffic pairs name DCs that topology {topology.name!r} does not have: "
+            f"{', '.join(missing)}. Pass explicit pairs of its own DCs, e.g. "
+            f"pairs=(({edges[0]!r}, {edges[-1]!r}),); for a generated fabric, "
+            "pairs of edge DCs as perfbench/workloads.py c400_pairs() builds them."
+        )
 
     # ------------------------------------------------------------------ #
     def generate(self) -> List[FlowDemand]:

@@ -83,3 +83,22 @@ class TestRuns:
         run_b = ExperimentRunner().run(spec)
         assert run_a.profile.overall_p50 == pytest.approx(run_b.profile.overall_p50)
         assert run_a.profile.overall_p99 == pytest.approx(run_b.profile.overall_p99)
+
+
+class TestPairEndpoints:
+    def test_default_pairs_on_a_fabric_fail_early(self, runner):
+        from repro.topology import CONTINENT_400
+
+        spec = ExperimentSpec(name="x", topology="fabric", fabric=CONTINENT_400)
+        spec.validate()
+        with pytest.raises(ValueError) as err:
+            runner.run(spec)
+        message = str(err.value)
+        assert "continent400" in message
+        assert "DC1, DC8" in message
+        assert "c400_pairs" in message and "R0E" in message
+
+    def test_unknown_endpoint_named(self, runner):
+        spec = ExperimentSpec(name="x", num_flows=10, pairs=(("DC1", "DC99"),))
+        with pytest.raises(ValueError, match="'testbed-8dc'.*DC99"):
+            runner.run(spec)

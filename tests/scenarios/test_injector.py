@@ -430,3 +430,49 @@ class TestCorrelatedEvents:
         ]
         assert all(network.link(s, d).up for s, d in (("A", "C"), ("C", "B")))
         assert result.unfinished_flows == 0
+
+
+class TestUnfiredEvents:
+    """Firings scheduled after the run's drain deadline are reported."""
+
+    def test_cut_past_drain_deadline_is_counted_and_warned(
+        self, tiny_topology, tiny_pathset, quick_sim_config
+    ):
+        # one flow too large to finish, so the run lasts until its deadline
+        config = quick_sim_config.with_overrides(drain_timeout_s=0.05, instrumentation=True)
+        demands = [FlowDemand(0, "A", "B", 0, 0, 10**12, 0.0)]
+        deadline = 0.05
+        late = deadline + 0.03
+        scenario = Scenario(
+            name="late-cut",
+            events=(
+                LinkDown(0.01, "A", "C"),
+                LinkDown(late, "A", "B"),
+                DCMaintenance(0.005, "C", duration_s=late),
+            ),
+        )
+        _, sim = make_sim(tiny_topology, tiny_pathset, config, demands, scenario)
+        with pytest.warns(RuntimeWarning, match="late-cut.*2 scheduled firing") as caught:
+            result = sim.run()
+        assert len(caught) == 1
+        assert result.duration_s == pytest.approx(deadline)
+        metrics = result.scenario_metrics
+        assert metrics.total_unfired == 2
+        assert any("link-down" in u and f"{late:g} s" in u for u in metrics.unfired)
+        assert any(u.startswith("end of") for u in metrics.unfired)
+        late_cut = [o for o in metrics.outcomes if o.scheduled_s == late][0]
+        assert late_cut.applied_s is None
+        counters = result.stats["counters"]
+        assert counters["scenario.events_unfired"] == 2
+        assert counters["scenario.events_applied"] == 2
+
+    def test_no_warning_when_everything_fires(
+        self, tiny_topology, tiny_pathset, quick_sim_config, recwarn
+    ):
+        scenario = Scenario(name="cut", events=(LinkDown(0.02, "A", "B"),))
+        _, sim = make_sim(
+            tiny_topology, tiny_pathset, quick_sim_config, steady_demands(), scenario
+        )
+        result = sim.run()
+        assert result.scenario_metrics.unfired == []
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

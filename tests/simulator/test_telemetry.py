@@ -24,7 +24,7 @@ from repro.simulator import (
     TelemetryPlane,
 )
 from repro.simulator.flow import FlowDemand
-from repro.topology import build_testbed8
+from repro.topology import FabricSpec, build_fabric, build_testbed8, fabric_pathset
 from repro.topology import testbed8_pathset as _testbed8_pathset
 
 
@@ -163,6 +163,47 @@ class TestRouterStateEquivalence:
                 a_state = plane_router.estimator.port_state(port)
                 b_state = sample_router.estimator.port_state(port)
                 assert dataclasses.asdict(a_state) == dataclasses.asdict(b_state)
+
+
+    def test_lcmp_fabric_sweep_vs_samples(self):
+        """Every LCMP switch of a generated fabric, through the plane-wide
+        register sweep and through per-port samples."""
+        topology = build_fabric(
+            FabricSpec(name="tiny", seed=3, regions=3, cores_per_region=2,
+                       aggs_per_core=2, edges_per_agg=1),
+            capacity_scale=0.1,
+        )
+        paths = fabric_pathset(topology)
+
+        def build(use_plane):
+            network = RuntimeNetwork(
+                topology, paths, lcmp_router_factory(topology, paths), SimulationConfig()
+            )
+            links = network.inter_dc_links
+            plane = TelemetryPlane(network) if use_plane else None
+            for step in range(6):
+                now = 0.001 * (step + 1)
+                for i, link in enumerate(links):
+                    link.queue_bytes = float((i * 7919 + step * 104729) % 600_000)
+                if step == 3:
+                    links[0].fail()
+                if use_plane:
+                    plane.sweep(now)
+                    plane.feed_routers(now)
+                else:
+                    network.sample_all_ports(now)
+            return network
+
+        swept, sampled = build(use_plane=True), build(use_plane=False)
+        for dc, switch in sampled.switches.items():
+            a, b = swept.switch(dc).router, switch.router
+            assert a.liveness.down_ports == b.liveness.down_ports
+            assert a.estimator.ports() == b.estimator.ports() == sorted(switch.ports)
+            for port in b.estimator.ports():
+                assert dataclasses.asdict(a.estimator.port_state(port)) == dataclasses.asdict(
+                    b.estimator.port_state(port)
+                )
+                assert a.estimator.congestion_score(port) == b.estimator.congestion_score(port)
 
 
 class TestEndToEndTraceEquivalence:

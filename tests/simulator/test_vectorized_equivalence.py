@@ -19,12 +19,13 @@ import dataclasses
 import pytest
 
 from repro.congestion_control import make_cc_factory, make_mixed_cc_factory
+from repro.core import lcmp_router_factory
 from repro.routing import make_router_factory
 from repro.scenarios import get_scenario
 from repro.scenarios.events import CapacityChange, LinkDown, LinkUp, Scenario, TrafficSurge
 from repro.simulator import FluidSimulation, RuntimeNetwork, SimulationConfig
 from repro.simulator.flow import FlowDemand
-from repro.topology import build_testbed8
+from repro.topology import FabricSpec, build_fabric, build_testbed8, fabric_pathset
 from repro.topology import testbed8_pathset as _testbed8_pathset
 from repro.workloads import TrafficConfig, TrafficGenerator
 
@@ -457,3 +458,49 @@ class TestCorrelatedScenarioEquivalence:
         with_scenario = run_sim(vectorized=True, scenario=empty)
         without = run_sim(vectorized=True, scenario=None)
         assert_results_identical(with_scenario, without)
+
+
+class TestLCMPFabricEquivalence:
+    """LCMP on a small generated fabric: the default core's plane-wide
+    register sweep against the scalar core's per-port ``observe``, with a
+    link cut mid-run so the injector's out-of-sweep samples land between
+    sweeps.  FCTs, scenario metrics and every switch's registers must be
+    identical."""
+
+    FABRIC = FabricSpec(name="tiny", seed=3, regions=3, cores_per_region=2,
+                        aggs_per_core=2, edges_per_agg=1)
+    PAIRS = (("R0E0x0x0", "R2E1x1x0"), ("R1E1x0x0", "R0E0x1x0"))
+
+    def run(self, vectorized):
+        topology = build_fabric(self.FABRIC, capacity_scale=0.1)
+        paths = fabric_pathset(topology)
+        config = SimulationConfig(seed=5, vectorized=vectorized)
+        traffic = TrafficConfig(
+            workload="websearch", load=0.5, num_flows=150, pairs=self.PAIRS, seed=5
+        )
+        demands = TrafficGenerator(topology, paths, traffic).generate()
+        core, agg = "R0C0", "R0A0x0"
+        scenario = Scenario(
+            name="cut", events=(LinkDown(0.01, core, agg), LinkUp(0.03, core, agg))
+        )
+        network = RuntimeNetwork(
+            topology, paths, lcmp_router_factory(topology, paths), config
+        )
+        sim = FluidSimulation(
+            network, demands, make_cc_factory("dcqcn"), config, scenario=scenario
+        )
+        return sim.run(), network
+
+    def test_scalar_and_default_core_identical(self):
+        scalar, scalar_net = self.run(vectorized=False)
+        default, default_net = self.run(vectorized=True)
+        assert all(o.applied_s is not None for o in scalar.scenario_metrics.outcomes)
+        assert_results_identical(scalar, default)
+        assert_scenario_metrics_identical(scalar, default)
+        for dc, switch in scalar_net.switches.items():
+            a, b = switch.router, default_net.switch(dc).router
+            assert a.liveness.down_ports == b.liveness.down_ports
+            assert a.estimator.ports() == b.estimator.ports() != []
+            for port in a.estimator.ports():
+                assert a.estimator.port_state(port) == b.estimator.port_state(port)
+                assert a.estimator.congestion_score(port) == b.estimator.congestion_score(port)
