@@ -3,17 +3,15 @@
 See :mod:`repro.backend.core` for the kernel contract and DESIGN.md
 ("Array backends & kernels") for the registry table, sync-point rules and
 the tolerance policy.  Importing this package registers the always-on
-numpy backends and the import-guarded torch backend.
+numpy backend and the import-guarded torch backend.
 """
 
 from .core import ArrayBackend, available_backends, get_backend, register_backend
-from .numpy_fused import FusedNumpyBackend
 from .numpy_ref import NumpyBackend
 from .torch_backend import TorchBackend, torch_available
 
 __all__ = [
     "ArrayBackend",
-    "FusedNumpyBackend",
     "NumpyBackend",
     "TorchBackend",
     "available_backends",

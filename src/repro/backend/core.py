@@ -1,18 +1,13 @@
 """Array-backend abstraction — named kernels over a swappable array library.
 
-The SoA migration (PRs 2–5) turned every hot structure into column blocks,
-but the fluid update step, the batched routers and the CC kernels still
-hard-coded numpy-specific idioms (``np.add.at``, ``*.reduceat``,
-``searchsorted``, positional path walks) at the call sites.  This module
-pins each of those idioms behind a *named kernel* on an
-:class:`ArrayBackend` so the same call sites can run on
+The fluid update step, the batched routers and the CC kernels call their
+array idioms (scatter-adds, segment reductions, ``searchsorted``,
+positional path walks) through *named kernels* on an :class:`ArrayBackend`,
+so the same call sites can run on
 
-* the **numpy reference backend** (:mod:`repro.backend.numpy_ref`) — the
-  exact idioms the cores used through PR 5, bit-for-bit;
-* the **fused numpy backend** (:mod:`repro.backend.numpy_fused`) —
-  ``bincount`` scatter-adds and uniform-path-length reshape reductions,
-  proven bit-identical to the reference (see DESIGN.md, "Array backends &
-  kernels") and measurably faster on the 20k-flow lanes;
+* the **numpy backend** (:mod:`repro.backend.numpy_ref`) — ``bincount``
+  scatter-adds and uniform-path-length reshape reductions, bit-identical
+  to the scalar core (see DESIGN.md, "Array backends & kernels");
 * the optional **torch backend** (:mod:`repro.backend.torch_backend`) —
   registered only when torch imports; equivalent within a documented float
   tolerance (the scalar core stays the exact reference).

@@ -21,7 +21,7 @@ Tolerance policy (documented; see DESIGN.md, "Array backends & kernels"):
 accumulation order is unspecified (on GPUs it is hardware atomic
 accumulation), so torch results are *equivalent within tolerance* — FCTs
 within ``rtol=1e-9`` of the scalar reference — rather than bit-identical.
-The numpy backends keep the bit-identity contract.
+The numpy backend keeps the bit-identity contract.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ reacts to the delayed :class:`~repro.simulator.flow.FeedbackSignal` the fluid
 simulation delivers one path-RTT after congestion occurred, and performs its
 periodic rate-recovery behaviour in :meth:`CongestionControl.on_interval`.
 
-Array residency (the SoA simulator core): a congestion-control class
+Array residency (the vectorized simulator core): a congestion-control class
 declares its per-flow state and its static parameters as a **declarative
 column-block spec** (:attr:`CongestionControl.cc_columns`, built from
 :func:`cc_state` / :func:`cc_param` entries).  From that spec the base class
@@ -29,15 +29,15 @@ fluid simulation dispatches the whole fleet through them, grouped per class,
 so no per-flow Python loop survives on the hot step.  Kernels must stay
 bit-for-bit identical to the scalar :meth:`on_interval` / :meth:`on_feedback`
 per row (the equivalence-suite contract; see DESIGN.md, "Congestion control
-(arrays)").  The object-level :meth:`advance_batch` / :meth:`feedback_batch`
-remain the dispatch points of the object-resident legacy core.
+(arrays)").  A class without kernels inherits slot methods that loop its
+scalar methods over the rows' controller objects.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Callable, Dict, Sequence, Type
+from typing import Callable, Dict, Type
 
 from ..simulator.flow import FeedbackSignal
 
@@ -161,7 +161,8 @@ class CongestionControl(abc.ABC):
         self.line_rate_bps = float(line_rate_bps)
         self.base_rtt_s = float(base_rtt_s)
         self.min_rate_bps = float(min_rate_bps)
-        #: owning FlowTable / row slot while bound (SoA core), else None/-1
+        #: owning FlowTable / row slot while bound (vectorized core), else
+        #: None/-1
         self._table = None
         self._slot = -1
         self._rate_bps = float(line_rate_bps)
@@ -263,62 +264,21 @@ class CongestionControl(abc.ABC):
     def on_interval(self, dt: float, now: float) -> None:
         """Periodic behaviour (rate recovery / increase), every update step."""
 
-    @classmethod
-    def advance_batch(
-        cls, controllers: Sequence["CongestionControl"], dt: float, now: float
-    ) -> None:
-        """Advance many controllers of this class by one update step.
-
-        Controllers never share state, so this is semantically identical
-        to calling :meth:`on_interval` on each; subclasses may override it
-        with an array implementation, which must keep the per-controller
-        arithmetic bit-for-bit identical (the vectorized simulator core
-        relies on that — see DESIGN.md, "Vectorized core").
-        """
-        for cc in controllers:
-            cc.on_interval(dt, now)
-
-    @classmethod
-    def feedback_batch(
-        cls,
-        controllers: Sequence["CongestionControl"],
-        generated_s: float,
-        ecn,
-        util,
-        rtt,
-        qd,
-        now: float,
-    ) -> None:
-        """Deliver one feedback signal to each of many controllers.
-
-        The signal fields arrive as parallel sequences (element ``i`` goes
-        to ``controllers[i]``) because the vectorized simulator core keeps
-        in-flight feedback as arrays; the base implementation materialises
-        one :class:`FeedbackSignal` per controller and loops
-        :meth:`on_feedback`.  Same contract as :meth:`advance_batch`:
-        overrides must keep the per-controller arithmetic bit-for-bit
-        identical to :meth:`on_feedback`.
-        """
-        for i, cc in enumerate(controllers):
-            cc.on_feedback(
-                FeedbackSignal(generated_s, ecn[i], util[i], rtt[i], qd[i]), now
-            )
-
     # ------------------------------------------------------------------ #
-    # FlowTable slot batches (the SoA core's dispatch points)
+    # FlowTable slot batches (the vectorized core's dispatch points)
     # ------------------------------------------------------------------ #
     @classmethod
     def advance_batch_slots(cls, table, slots, dt: float, now: float) -> None:
         """Advance the controllers occupying ``slots`` of ``table``.
 
-        The base implementation gathers the controller objects and defers
-        to :meth:`advance_batch` (so existing object-level overrides keep
-        working); classes that keep their state in a table block override
-        this with in-place masked column operations, which must stay
-        bit-for-bit identical to :meth:`on_interval` per row.
+        Controllers never share state, so the base implementation calls
+        :meth:`on_interval` on each row's controller; classes that keep
+        their state in a table block override this with in-place masked
+        column operations, which must stay bit-for-bit identical to
+        :meth:`on_interval` per row.
         """
-        controllers = [table.flow_at(s).cc for s in slots.tolist()]
-        cls.advance_batch(controllers, dt, now)
+        for s in slots.tolist():
+            table.flow_at(s).cc.on_interval(dt, now)
 
     @classmethod
     def feedback_batch_slots(
@@ -326,12 +286,16 @@ class CongestionControl(abc.ABC):
     ) -> None:
         """Deliver one feedback signal to each controller in ``slots``.
 
-        Same contract as :meth:`advance_batch_slots`: the base gathers
-        objects and defers to :meth:`feedback_batch`; block-resident
-        classes override with in-place column operations.
+        The signal fields arrive as parallel arrays (element ``i`` goes to
+        ``slots[i]``) because the vectorized core keeps in-flight feedback
+        as arrays.  Same contract as :meth:`advance_batch_slots`: the base
+        materialises one :class:`FeedbackSignal` per row and calls
+        :meth:`on_feedback`; block-resident classes override with in-place
+        column operations.
         """
-        controllers = [table.flow_at(s).cc for s in slots.tolist()]
-        cls.feedback_batch(controllers, generated_s, ecn, util, rtt, qd, now)
+        lanes = zip(slots.tolist(), ecn.tolist(), util.tolist(), rtt.tolist(), qd.tolist())
+        for s, e, u, r, q in lanes:
+            table.flow_at(s).cc.on_feedback(FeedbackSignal(generated_s, e, u, r, q), now)
 
     # ------------------------------------------------------------------ #
     def _clamp(self) -> None:

@@ -13,8 +13,6 @@ fluid simulation's delayed ECN-fraction feedback.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from ..simulator.flow import FeedbackSignal
@@ -31,9 +29,9 @@ class DCQCN(CongestionControl):
     accumulators, the increase stage) plus the static parameters live in a
     per-class :class:`~repro.simulator.flow_table.ColumnBlock` while the
     instance is bound to a :class:`~repro.simulator.flow_table.FlowTable`
-    (the SoA simulator core); instance attributes are then views onto the
-    row, and the batched feedback/advance paths run as in-place masked
-    column operations with no per-object gather or writeback.  Unbound
+    (the vectorized simulator core); instance attributes are then views
+    onto the row, and the batched feedback/advance paths run as in-place
+    masked column operations with no per-object gather or writeback.  Unbound
     instances (the scalar reference path, unit tests) keep plain-attribute
     behaviour.
     """
@@ -97,43 +95,9 @@ class DCQCN(CongestionControl):
         self._time_since_alpha_update = 0.0
         self._increase_stage = 0
         self._congested_recently = False
-        #: immutable parameters packed once for the batched paths; the
-        #: tuple is interned through a class-level cache so a fleet built
-        #: by one factory shares a single object, letting the batch paths
-        #: detect parameter uniformity with identity checks
-        params = (
-            self.alpha_resume_interval_s,
-            self.g,
-            self.increase_timer_s,
-            self.line_rate_bps,
-            self.rate_ai_bps,
-            self.rate_hai_bps,
-            self.min_rate_bps,
-            self.ecn_threshold,
-        )
-        self._batch_params = DCQCN._PARAM_CACHE.setdefault(params, params)
-
-    #: interning cache for :attr:`_batch_params` (bounded: one entry per
-    #: distinct parameterisation ever constructed)
-    _PARAM_CACHE: dict = {}
 
     # The FlowTable views (bound-state properties, push/pull at bind and
     # release) are derived from :attr:`cc_columns` by the base class.
-
-    @classmethod
-    def _gather_params(cls, controllers, *columns):
-        """Per-lane parameter columns, as scalars when the fleet is uniform.
-
-        Uniform fleets (the common case: one factory builds every flow's
-        controller) share one interned ``_batch_params`` tuple, so an
-        identity scan suffices and the batch maths runs on Python floats
-        broadcast by numpy; mixed fleets fall back to real columns.
-        """
-        first = controllers[0]._batch_params
-        if all(cc._batch_params is first for cc in controllers):
-            return tuple(first[c] for c in columns)
-        table = np.array([cc._batch_params for cc in controllers])
-        return tuple(table[:, c] for c in columns)
 
     # ------------------------------------------------------------------ #
     def on_feedback(self, signal: FeedbackSignal, now: float) -> None:
@@ -177,138 +141,22 @@ class DCQCN(CongestionControl):
             self._increase_once()
         self._time_since_increase = elapsed
 
-    @classmethod
-    def feedback_batch(
-        cls, controllers: Sequence["DCQCN"], generated_s, ecn, util, rtt, qd, now
-    ) -> None:
-        """Array implementation of :meth:`on_feedback`, one signal each.
-
-        DCQCN reacts only to the ECN fraction, so the other signal fields
-        pass through untouched and no :class:`FeedbackSignal` objects are
-        materialised.  Lane ``i`` applies exactly the operations instance
-        ``i`` would: uncongested lanes only flip ``_congested_recently``;
-        congested lanes run the alpha EWMA, the multiplicative cut and the
-        clamp.
-        """
-        if not len(controllers):
-            return
-        ecn = np.asarray(ecn)
-        g, line, floor, threshold = cls._gather_params(controllers, 1, 3, 6, 7)
-        state = np.array(
-            [(cc.alpha, cc.rate_bps, cc.target_rate_bps) for cc in controllers]
-        )
-        alpha, rate, target = state[:, 0], state[:, 1], state[:, 2]
-
-        congested = ecn > threshold
-        alpha = np.where(
-            congested, (1 - g) * alpha + g * np.minimum(1.0, ecn * 4), alpha
-        )
-        target = np.where(congested, rate, target)
-        rate = np.where(congested, rate * (1 - alpha / 2.0), rate)
-        rate = np.where(congested, np.minimum(line, np.maximum(floor, rate)), rate)
-
-        alpha_l = alpha.tolist()
-        rate_l = rate.tolist()
-        target_l = target.tolist()
-        congested_l = congested.tolist()
-        for i, cc in enumerate(controllers):
-            cc.feedback_count += 1
-            hit = congested_l[i]
-            cc._congested_recently = hit
-            if hit:
-                cc.alpha = alpha_l[i]
-                cc.rate_bps = rate_l[i]
-                cc.target_rate_bps = target_l[i]
-                cc._increase_stage = 0
-
-    @classmethod
-    def advance_batch(
-        cls, controllers: Sequence["DCQCN"], dt: float, now: float
-    ) -> None:
-        """Array implementation of :meth:`on_interval` over many instances.
-
-        Both timer cadences (55 µs alpha decay, 0.3 ms increase) are much
-        shorter than the 1 ms update step, so the scalar method runs ~20
-        Python loop iterations per flow per step; here the same iterations
-        run as masked array operations across all flows at once.  Every
-        lane performs exactly the float operations its instance would —
-        lanes whose timer has not crossed a boundary are carried through
-        ``np.where`` unchanged — so batched and scalar advancement produce
-        bit-identical controller state.
-        """
-        if not controllers:
-            return
-        interval, g, inc_interval, line, ai, hai, floor = cls._gather_params(
-            controllers, 0, 1, 2, 3, 4, 5, 6
-        )
-        state = np.array(
-            [
-                (
-                    cc.alpha,
-                    cc._time_since_alpha_update,
-                    cc._time_since_increase,
-                    cc.rate_bps,
-                    cc.target_rate_bps,
-                    cc._increase_stage,
-                )
-                for cc in controllers
-            ]
-        )
-        alpha, elapsed, inc_elapsed, rate, target, stage = (
-            state[:, 0],
-            state[:, 1] + dt,
-            state[:, 2] + dt,
-            state[:, 3],
-            state[:, 4],
-            state[:, 5],
-        )
-
-        # alpha decay
-        decay = 1 - g
-        pending = elapsed >= interval
-        while pending.any():
-            elapsed = np.where(pending, elapsed - interval, elapsed)
-            alpha = np.where(pending, alpha * decay, alpha)
-            pending = elapsed >= interval
-
-        # staged rate recovery (fast recovery / AI / hyper increase)
-        pending = inc_elapsed >= inc_interval
-        while pending.any():
-            inc_elapsed = np.where(pending, inc_elapsed - inc_interval, inc_elapsed)
-            ai_lane = pending & (stage >= 5) & (stage < 10)
-            hai_lane = pending & (stage >= 10)
-            target = np.where(ai_lane, np.minimum(line, target + ai), target)
-            target = np.where(hai_lane, np.minimum(line, target + hai), target)
-            rate = np.where(pending, (rate + target) / 2.0, rate)
-            stage = np.where(pending, stage + 1, stage)
-            rate = np.where(pending, np.minimum(line, np.maximum(floor, rate)), rate)
-            pending = inc_elapsed >= inc_interval
-
-        alpha_l = alpha.tolist()
-        elapsed_l = elapsed.tolist()
-        inc_elapsed_l = inc_elapsed.tolist()
-        rate_l = rate.tolist()
-        target_l = target.tolist()
-        stage_l = stage.tolist()
-        for i, cc in enumerate(controllers):
-            cc.alpha = alpha_l[i]
-            cc._time_since_alpha_update = elapsed_l[i]
-            cc._time_since_increase = inc_elapsed_l[i]
-            cc.rate_bps = rate_l[i]
-            cc.target_rate_bps = target_l[i]
-            cc._increase_stage = int(stage_l[i])
-
     # ------------------------------------------------------------------ #
-    # FlowTable slot batches: the SoA core's hot paths.  Same arithmetic
-    # as feedback_batch / advance_batch lane for lane, but state is read
-    # from and written to the table's column block directly — no object
-    # gather, no .tolist() writeback loop.
+    # FlowTable slot batches: the vectorized core's hot paths.  Every lane
+    # performs exactly the float operations its instance's on_feedback /
+    # on_interval would, reading and writing the table's column block.
     # ------------------------------------------------------------------ #
     @classmethod
     def feedback_batch_slots(
         cls, table, slots, generated_s, ecn, util, rtt, qd, now
     ) -> None:
-        """In-place :meth:`feedback_batch` over FlowTable rows ``slots``."""
+        """Array :meth:`on_feedback` over FlowTable rows ``slots``, one signal each.
+
+        DCQCN reacts only to the ECN fraction, so the other signal fields
+        pass through untouched.  Uncongested lanes only clear
+        ``_congested_recently``; congested lanes run the alpha EWMA, the
+        multiplicative cut and the clamp.
+        """
         if not len(slots):
             return
         block = table.cc_block(cls)
@@ -340,7 +188,15 @@ class DCQCN(CongestionControl):
 
     @classmethod
     def advance_batch_slots(cls, table, slots, dt: float, now: float) -> None:
-        """In-place :meth:`advance_batch` over FlowTable rows ``slots``."""
+        """Array :meth:`on_interval` over FlowTable rows ``slots``.
+
+        Both timer cadences (55 µs alpha decay, 0.3 ms increase) are much
+        shorter than the 1 ms update step, so the scalar method runs ~20
+        Python loop iterations per flow per step; here the same iterations
+        run as masked array operations across all rows at once.  Lanes
+        whose timer has not crossed a boundary are carried through the
+        select unchanged, so the result is bit-identical per row.
+        """
         if not len(slots):
             return
         block = table.cc_block(cls)

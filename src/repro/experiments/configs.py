@@ -90,10 +90,10 @@ class ExperimentSpec:
         vectorized: run the simulator's numpy update core (default) or the
             pure-Python scalar reference path — both produce bit-identical
             results (see DESIGN.md, "Vectorized core").
-        backend: array backend the vectorized cores execute on —
-            ``"numpy"`` (reference), ``"numpy_fused"`` (bit-identical fused
-            kernels) or ``"torch"`` (device-resident, equivalent within a
-            documented tolerance; requires torch).  See DESIGN.md, "Array
+        backend: array backend the vectorized core executes on —
+            ``"numpy"`` (bit-identical to the scalar core) or ``"torch"``
+            (device-resident, equivalent within a documented tolerance;
+            requires torch).  See DESIGN.md, "Array
             backends & kernels".
         instrumentation: enable the simulator's observability plane for
             this run; the run's ``result.stats`` then carries the phase

@@ -21,9 +21,9 @@ correct run must satisfy regardless of the timeline:
    failed), and no recovery takes longer than the span between the first
    cut and the last repair of the timeline plus one update interval.
 4. **Cross-core bit-identity** (:func:`assert_results_identical`,
-   :func:`assert_scenario_metrics_identical`) — the scalar, legacy
-   vectorized, SoA, cc_blocks and fused-backend cores (see
-   :data:`CORE_CONFIGS`), with or without instrumentation, produce
+   :func:`assert_scenario_metrics_identical`) — the scalar and default
+   vectorized cores (see :data:`CORE_CONFIGS`), with or without
+   instrumentation, produce
    byte-for-byte identical records, link stats, failures and per-event
    outcomes; the torch backend (when installed) is held to the relaxed
    :func:`assert_results_close` tolerance contract instead.
@@ -68,35 +68,21 @@ __all__ = [
 ]
 
 #: the simulation cores, as ``SimulationConfig`` field overrides — the
-#: canonical axes the equivalence suite and the fuzzer sweep.  The
-#: ``numpy_fused`` entry runs the default SoA/cc_blocks core on the fused
-#: array backend (bit-identical by contract); when torch is importable a
-#: ``torch`` entry is appended so the fuzzer also exercises the
-#: device-resident backend (equivalent within the documented tolerance,
-#: see DESIGN.md, "Array backends & kernels").
+#: axes the equivalence suite and the fuzzer sweep: the scalar
+#: specification and the default vectorized core.  When torch is
+#: importable a ``torch`` entry is appended so the fuzzer also exercises
+#: the device-resident backend (equivalent within the documented
+#: tolerance, see DESIGN.md, "Array backends & kernels").
 CORE_CONFIGS: Dict[str, Dict[str, object]] = {
     "scalar": {"vectorized": False},
-    "vectorized": {"vectorized": True, "soa": False},
-    "soa": {"vectorized": True, "soa": True, "cc_blocks": False},
-    "cc_blocks": {"vectorized": True, "soa": True, "cc_blocks": True},
-    "numpy_fused": {
-        "vectorized": True,
-        "soa": True,
-        "cc_blocks": True,
-        "backend": "numpy_fused",
-    },
+    "default": {"vectorized": True},
 }
 
 try:  # pragma: no cover - exercised only where torch is installed
     from ..backend import torch_available
 
     if torch_available():
-        CORE_CONFIGS["torch"] = {
-            "vectorized": True,
-            "soa": True,
-            "cc_blocks": True,
-            "backend": "torch",
-        }
+        CORE_CONFIGS["torch"] = {"vectorized": True, "backend": "torch"}
 except ImportError:  # pragma: no cover
     pass
 
@@ -298,7 +284,7 @@ class DeadLinkMonitor:
     Attach to a simulation with :meth:`attach` (before ``run()``); after
     every update step it verifies, for each active flow, that a positive
     achieved rate implies every link of its path is up, and — on the
-    vectorized cores — that the flow×link incidence liveness cache agrees
+    vectorized core — that the flow×link incidence liveness cache agrees
     with the :class:`~repro.simulator.link.RuntimeLink` objects whenever
     the cache is current.  Violations are collected (not raised) so a run
     completes and :func:`check_no_dead_link_traffic` can report them with
@@ -425,8 +411,8 @@ def assert_results_identical(reference, other, label: str = "") -> None:
 
     Compares completed-flow records, link stats, run counters and failed
     flows via exact (bitwise, no tolerance) equality — the contract the
-    scalar / legacy-vectorized / SoA / cc_blocks cores and the
-    instrumented/uninstrumented modes all share.
+    scalar and vectorized cores and the instrumented/uninstrumented modes
+    all share.
 
     Raises:
         InvariantViolation: on the first differing field.

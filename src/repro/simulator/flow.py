@@ -77,14 +77,13 @@ class Flow:
     """Runtime state of a single RDMA flow in the fluid model.
 
     Mutable numeric state (remaining bytes, base RTT, achieved rate, the
-    disruption stamp, feedback-line bookkeeping) lives either in plain
+    disruption stamp, the route id) lives either in plain
     attributes (the scalar reference path, standalone use in tests) or in
     a row of the simulation's :class:`~repro.simulator.flow_table.FlowTable`
-    when :meth:`bind_table` has been called (the vectorized SoA core).  The
+    when :meth:`bind_table` has been called (the vectorized core).  The
     public surface is identical in both modes — properties dispatch to the
-    table row when bound, and unbound flows behave exactly like the
-    plain-attribute flows of earlier releases — so routers, the scenario
-    injector and existing tests never see the difference.
+    table row when bound — so routers, the scenario injector and tests
+    never see the difference.
     """
 
     def __init__(self, demand: FlowDemand, path: Sequence[RuntimeLink], cc, base_rtt_s: float):
@@ -103,10 +102,7 @@ class Flow:
         self.cc = cc
         self.start_s: float = demand.arrival_s
         self.finish_s: Optional[float] = None
-        #: owning FlowTable / row slot while bound (None / -1 otherwise);
-        #: ``_slot`` may be set without binding — the PR-2 compatibility
-        #: core keys its incidence structure and feedback lanes by slot
-        #: while object attributes stay authoritative
+        #: owning FlowTable / row slot while bound (None / -1 otherwise)
         self._table = None
         self._slot = -1
         #: position in the owning simulation's active list (swap-remove)
@@ -127,14 +123,6 @@ class Flow:
         #: shortens the path RTT may break the order, tracked by the flag
         self._pending_feedback: Deque[Tuple[float, FeedbackSignal]] = deque()
         self._feedback_unsorted = False
-        #: False once the flow left the active set (finished or failed);
-        #: the vectorized feedback delay line checks it so signals headed
-        #: to a gone flow are dropped, exactly like the scalar path
-        #: abandoning the flow's pending deque
-        self._fb_live = True
-        #: stamp of the last update tick that delivered feedback to this
-        #: flow (vectorized core: detects several signals due at once)
-        self._fb_tick = -1
 
     # ------------------------------------------------------------------ #
     # FlowTable binding (see repro.simulator.flow_table)
@@ -147,8 +135,6 @@ class Flow:
         table.disrupted_s[slot] = (
             self._disrupted_s if self._disrupted_s is not None else float("nan")
         )
-        table.feedback_live[slot] = self._fb_live
-        table.feedback_tick[slot] = self._fb_tick
         table.path_id[slot] = self._route_id_attr
         self._table = table
         self._slot = slot
@@ -160,13 +146,12 @@ class Flow:
             return
         slot = self._slot
         self._table = None
+        self._slot = -1
         self._remaining_bytes = float(table.remaining_bytes[slot])
         self._base_rtt_s = float(table.base_rtt_s[slot])
         self._achieved_bps = float(table.achieved_bps[slot])
         stamp = float(table.disrupted_s[slot])
         self._disrupted_s = None if stamp != stamp else stamp
-        self._fb_live = bool(table.feedback_live[slot])
-        self._fb_tick = int(table.feedback_tick[slot])
         self._route_id_attr = int(table.path_id[slot])
 
     # ------------------------------------------------------------------ #
@@ -257,36 +242,6 @@ class Flow:
             self._route_id_attr = value
         else:
             t.path_id[self._slot] = value
-
-    @property
-    def _feedback_live(self) -> bool:
-        t = self._table
-        if t is None:
-            return self._fb_live
-        return bool(t.feedback_live[self._slot])
-
-    @_feedback_live.setter
-    def _feedback_live(self, value: bool) -> None:
-        t = self._table
-        if t is None:
-            self._fb_live = value
-        else:
-            t.feedback_live[self._slot] = value
-
-    @property
-    def _feedback_tick(self) -> int:
-        t = self._table
-        if t is None:
-            return self._fb_tick
-        return int(t.feedback_tick[self._slot])
-
-    @_feedback_tick.setter
-    def _feedback_tick(self, value: int) -> None:
-        t = self._table
-        if t is None:
-            self._fb_tick = value
-        else:
-            t.feedback_tick[self._slot] = value
 
     # ------------------------------------------------------------------ #
     @property

@@ -1,11 +1,9 @@
 """Structure-of-arrays FlowTable — array-resident per-flow state.
 
-PR 2's vectorized core made the per-step *math* array-based, but the
-per-flow *state* it read and wrote still lived in Python objects, so every
-update step crossed the Python↔numpy boundary O(flows) times (``np.fromiter``
-gathers, ``.tolist()`` writeback loops).  The :class:`FlowTable` removes
-those crossings by making contiguous numpy columns the authoritative home
-of all mutable per-flow state while a vectorized run is in flight:
+The :class:`FlowTable` makes contiguous numpy columns the authoritative
+home of all mutable per-flow state while a vectorized run is in flight, so
+an update step crosses the Python↔numpy boundary O(1) times instead of
+O(flows) (no ``np.fromiter`` gathers, no ``.tolist()`` writeback loops):
 
 * **rows are stable slots** — a flow keeps its row for its whole lifetime;
   finished/failed flows return their slot to a free list for reuse and the
@@ -248,17 +246,15 @@ class FlowTable:
     # ------------------------------------------------------------------ #
     # slot lifecycle
     # ------------------------------------------------------------------ #
-    def acquire(self, flow, bind: bool = True) -> int:
-        """Give ``flow`` a row slot and initialise its columns.
+    def acquire(self, flow) -> int:
+        """Give ``flow`` a row slot and bind it and its controller to the row.
+
+        The flow and its controller become views onto the row — the
+        columns are authoritative until :meth:`release`.
 
         Args:
             flow: the runtime flow (its congestion controller is reached
                 through ``flow.cc``).
-            bind: when True (the SoA core) the flow and its controller
-                become views onto the row — the columns are authoritative
-                until :meth:`release`.  When False (the PR-2 compatibility
-                core) the slot only keys the incidence structure and the
-                feedback delay line; object attributes stay authoritative.
 
         Returns:
             The row slot (stable for the flow's lifetime).
@@ -278,16 +274,14 @@ class FlowTable:
         self.epoch[slot] += 1
         self.feedback_live[slot] = True
         self.feedback_tick[slot] = -1
-        flow._slot = slot
-        if bind:
-            flow.bind_table(self, slot)
-            flow.cc.bind_table(self, slot)
+        flow.bind_table(self, slot)
+        flow.cc.bind_table(self, slot)
         return slot
 
     def release(self, flow) -> None:
         """Return the flow's slot to the free list.
 
-        Bound views are unbound first (final column values are copied back
+        The views are unbound first (final column values are copied back
         into the objects), and the row's ``feedback_live`` flag is cleared
         so in-flight feedback lanes addressed to it are dropped.
         """
@@ -306,7 +300,6 @@ class FlowTable:
             del self.class_counts[cc_cls]
         self._class_remove(slot)
         self._free.append(slot)
-        flow._slot = -1
 
     # ------------------------------------------------------------------ #
     def _class_add(self, cc_cls: Type, slot: int) -> None:

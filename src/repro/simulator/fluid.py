@@ -16,20 +16,17 @@ Flows are modelled as fluid: every ``update_interval`` the simulation
 Routing decisions happen exactly once per flow, at arrival time, by walking
 DCI switches hop by hop (see :class:`~repro.simulator.network.RuntimeNetwork`).
 
-Three implementations of the update step exist and are bit-for-bit
-equivalent: the structure-of-arrays core (default) that keeps per-flow and
+Two implementations of the update step exist and are bit-for-bit
+equivalent: the vectorized core (default) that keeps per-flow and
 congestion-control state resident in a :class:`~repro.simulator.flow_table
 .FlowTable`, runs every per-step operation as numpy array math over a
 CSR-style flow×link incidence structure (:mod:`repro.simulator.incidence`),
-and advances/feeds congestion control through per-class in-place column
+advances/feeds congestion control through per-class in-place column
 kernels — grouped by CC class, so heterogeneous fleets (per-flow CC mixes)
-stay on the fast path;
-the object-resident vectorized core (``SimulationConfig(soa=False)``, the
-PR-2 layout with per-step ``np.fromiter`` gathers and ``.tolist()``
-writebacks, kept as the baseline the high-concurrency benchmark measures
-against); and the original pure-Python scalar loop, kept as the executable
-specification and selected with ``SimulationConfig(vectorized=False)``.
-The equivalence is guarded by
+stay on the fast path — and admits arrivals in batches; and the original
+pure-Python scalar loop with one heap event per arrival, kept as the
+executable specification and selected with
+``SimulationConfig(vectorized=False)``.  The equivalence is guarded by
 ``tests/simulator/test_vectorized_equivalence.py``.
 
 A run may additionally carry a :class:`~repro.scenarios.events.Scenario`:
@@ -67,7 +64,7 @@ __all__ = ["LinkStats", "FlowFailure", "SimulationResult", "FluidSimulation"]
 class _FeedbackGeneration:
     """One update step's worth of in-flight congestion feedback (arrays).
 
-    The vectorized cores never materialise per-flow
+    The vectorized core never materialises per-flow
     :class:`~repro.simulator.flow.FeedbackSignal` objects for the common
     path; each step appends one generation holding the step's signal
     arrays, and lanes are delivered (batched, per congestion-control
@@ -75,17 +72,14 @@ class _FeedbackGeneration:
     earliest undelivered lane so idle generations cost one comparison per
     step.
 
-    The SoA core addresses lanes by FlowTable row (``rows``) guarded by
-    the row ``epochs`` captured at enqueue time, so a lane whose row was
-    released (and possibly re-acquired by a newer flow) is dropped; the
-    object-resident legacy core addresses lanes by flow object (``flows``,
-    the PR-2 layout) instead.
+    Lanes are addressed by FlowTable row (``rows``) guarded by the row
+    ``epochs`` captured at enqueue time, so a lane whose row was released
+    (and possibly re-acquired by a newer flow) is dropped.
     """
 
     __slots__ = (
         "rows",
         "epochs",
-        "flows",
         "generated_s",
         "deliver_s",
         "ecn",
@@ -96,10 +90,9 @@ class _FeedbackGeneration:
         "next_due_s",
     )
 
-    def __init__(self, generated_s, deliver_s, ecn, util, rtt, qd, rows=None, epochs=None, flows=None):
+    def __init__(self, generated_s, deliver_s, ecn, util, rtt, qd, rows, epochs):
         self.rows = rows
         self.epochs = epochs
-        self.flows = flows
         self.generated_s = generated_s
         self.deliver_s = deliver_s
         self.ecn = ecn
@@ -295,7 +288,6 @@ class FluidSimulation:
         self._sp_arrivals = obs.span("step.arrivals")
         self._sp_arrival_route = obs.span("arrivals.route")
         self._ctr_repeated = obs.counter("slow_path.deliver_repeated")
-        self._ctr_object_gather = obs.counter("slow_path.object_gather_dispatch")
         self._ctr_seq_routing = obs.counter("slow_path.sequential_routing")
         self._ctr_reroutes = obs.counter("slow_path.reroutes")
         self._ctr_cc_kernels = obs.counter("cc.kernel_dispatches")
@@ -322,27 +314,19 @@ class FluidSimulation:
             if self.config.vectorized
             else None
         )
-        #: structure-of-arrays per-flow state (vectorized cores only; the
-        #: scalar reference path keeps state on the objects, untouched)
+        #: structure-of-arrays per-flow state, authoritative while a flow is
+        #: bound to its row (vectorized core only; the scalar reference path
+        #: keeps state on the objects, untouched)
         self._table: Optional[FlowTable] = (
             FlowTable(backend=self._backend) if self.config.vectorized else None
         )
-        #: SoA core: flows and controllers are *bound* to their table rows
-        #: (columns authoritative); False = object-resident legacy core
-        self._soa = bool(self.config.vectorized and self.config.soa)
-        #: array-resident control plane: telemetry columns + batched
-        #: arrivals (vectorized cores only; the scalar reference path and
-        #: the PR-3 baseline keep per-event arrivals and object sampling)
-        self._batched = bool(self.config.vectorized and self.config.batched_control)
-        #: SoA core: dispatch congestion control through per-class in-place
-        #: column kernels, grouped by class for mixed fleets; False retains
-        #: the object-gather dispatch as the CC benchmark baseline
-        self._cc_blocks = bool(self._soa and self.config.cc_blocks)
         #: the factory wants each demand's flow id (per-flow CC mixes)
         self._cc_per_flow = bool(getattr(cc_factory, "per_flow", False))
 
+        #: array-resident control plane: telemetry columns (vectorized core
+        #: only; the scalar reference path samples per-port objects)
         self.telemetry: Optional[TelemetryPlane] = None
-        if self._batched:
+        if self.config.vectorized:
             self.telemetry = TelemetryPlane(network, backend=self._backend)
             self.telemetry.attach_incidence(self._incidence)
         self.monitor = QueueMonitor(network, trace=self._trace, plane=self.telemetry)
@@ -351,7 +335,7 @@ class FluidSimulation:
         self._rows_arr = np.empty(256, dtype=np.intp)
         self._n_active = 0
         #: conservative flag: may any active flow still be disrupted?
-        #: (scalar and legacy cores; the SoA core reads the table's
+        #: (scalar core; the vectorized core reads the table's
         #: ``disrupted_s`` column instead)
         self._maybe_disrupted = False
         #: in-flight congestion feedback, one generation per update step
@@ -360,9 +344,10 @@ class FluidSimulation:
         self._pending_arrivals = len(self.demands)
         self._stopped = False
         #: flow id -> (arrival Event, demand) for not-yet-arrived flows
-        #: (per-event arrival path only)
+        #: (the scalar core's per-event arrival path)
         self._arrival_events: Dict[int, Tuple[object, FlowDemand]] = {}
-        #: batched-arrival state: a (arrival_s, flow_id, strict, demand)
+        #: batched-arrival state (vectorized core): a
+        #: (arrival_s, flow_id, strict, demand)
         #: heap of not-yet-admitted demands, drained by one batch event
         #: per event-free window instead of one heap event per flow
         #: (``strict`` marks mid-run injections, see :meth:`_arrival_batch`)
@@ -440,7 +425,7 @@ class FluidSimulation:
         Returns:
             Number of demands cancelled (traffic-drain events).
         """
-        if self._batched:
+        if self._table is not None:
             cancelled = 0
             for _, flow_id, _, demand in self._arrival_heap:
                 if flow_id not in self._cancelled_ids and predicate(demand):
@@ -478,29 +463,17 @@ class FluidSimulation:
             rows = self._active_rows()
             self._incidence.refresh(rows)
             broken_arr = self._incidence.broken_flows()
-            if self._soa:
-                # SoA core: only flows that are broken now or were
-                # disrupted before need any Python-level attention —
-                # everything else is covered by two array reductions
-                need = broken_arr | ~np.isnan(self._table.disrupted_s[rows])
-                if not need.any():
-                    return
-                targets = np.flatnonzero(need)
-                flows = [self._active[i] for i in targets.tolist()]
-                broken_l = broken_arr[targets].tolist()
-                for flow, broken in zip(flows, broken_l):
-                    self._revalidate_one(flow, broken, now, stranded_timeout)
+            # only flows that are broken now or were disrupted before need
+            # any Python-level attention — everything else is covered by
+            # two array reductions
+            need = broken_arr | ~np.isnan(self._table.disrupted_s[rows])
+            if not need.any():
                 return
-            # legacy vectorized core (PR-2): full walk gated by the
-            # conservative any-disrupted flag
-            if not broken_arr.any() and not self._maybe_disrupted:
-                return
-            broken_mask = broken_arr.tolist()
-            still_disrupted = False
-            for i, flow in enumerate(list(self._active)):
-                if self._revalidate_one(flow, broken_mask[i], now, stranded_timeout):
-                    still_disrupted = True
-            self._maybe_disrupted = still_disrupted
+            targets = np.flatnonzero(need)
+            flows = [self._active[i] for i in targets.tolist()]
+            broken_l = broken_arr[targets].tolist()
+            for flow, broken in zip(flows, broken_l):
+                self._revalidate_one(flow, broken, now, stranded_timeout)
             return
 
         still_disrupted = False
@@ -542,7 +515,7 @@ class FluidSimulation:
     # event handlers
     # ------------------------------------------------------------------ #
     def _schedule_arrival(self, demand: FlowDemand) -> None:
-        if self._batched:
+        if self._table is not None:
             if demand.arrival_s < self.engine.now:
                 raise SimulationError(
                     f"cannot schedule event at {demand.arrival_s} "
@@ -582,10 +555,6 @@ class FluidSimulation:
             cc = self._make_cc(demand, line_rate, base_rtt)
             flow = Flow(demand, path, cc, base_rtt)
             flow.route_id = self.collector.route_index_for(demand.src_dc, flow.path)
-            if self._table is not None:
-                row = self._table.acquire(flow, bind=self._soa)
-                self._incidence.set_path(row, flow.path)
-                self._table.path_id[row] = flow.route_id
             self._append_active(flow)
 
         return arrive
@@ -669,7 +638,7 @@ class FluidSimulation:
             cc = self._make_cc(demand, path[0].cap_bps, base_rtt)
             flow = Flow(demand, path, cc, base_rtt)
             flow.route_id = collector.route_index_for(demand.src_dc, flow.path)
-            row = table.acquire(flow, bind=self._soa)
+            row = table.acquire(flow)
             self._incidence.set_path(row, flow.path)
             table.path_id[row] = flow.route_id
             self._append_active(flow)
@@ -734,10 +703,8 @@ class FluidSimulation:
         with self._sp_update:
             if self._incidence is None:
                 self._update_step_scalar()
-            elif self._soa:
-                self._update_step_vectorized()
             else:
-                self._update_step_vectorized_legacy()
+                self._update_step_vectorized()
         if self._step_observers:
             now = self.engine.now
             for observer in self._step_observers:
@@ -750,7 +717,6 @@ class FluidSimulation:
 
     def _finish_flows(self, finished: List[Flow]) -> None:
         for flow in finished:
-            flow._feedback_live = False
             self._remove_active(flow)
             if self._table is not None:
                 self._incidence.remove_row(flow._slot)
@@ -764,26 +730,22 @@ class FluidSimulation:
         """Deliver every due lane of the feedback delay line (vectorized).
 
         Lanes are scanned generation by generation (enqueue order) and
-        handed to the congestion-control class's batched delivery.  The
-        SoA core addresses lanes by FlowTable row: liveness, the slot-reuse
-        epoch guard and the repeated-delivery tick check are all column
-        reductions, and every fleet — uniform or mixed — is delivered
-        through the classes' in-place ``feedback_batch_slots`` kernels,
-        grouped per class via the table's class-id column.  The legacy
-        core walks lane flows object by object (the PR-2 layout).  A flow
-        normally
-        receives at most one signal per step — one is enqueued per step
-        with a fixed RTT offset — and the rare exception (an
-        RTT-shortening re-route makes several due at once) falls back to
-        sequential per-flow delivery sorted by deliver time, which is
-        exactly the scalar path's order.
+        addressed by FlowTable row: liveness, the slot-reuse epoch guard
+        and the repeated-delivery tick check are all column reductions,
+        and every fleet — uniform or mixed — is delivered through the
+        classes' in-place ``feedback_batch_slots`` kernels, grouped per
+        class via the table's class-id column.  A flow normally receives
+        at most one signal per step — one is enqueued per step with a
+        fixed RTT offset — and the rare exception (an RTT-shortening
+        re-route makes several due at once) falls back to sequential
+        per-flow delivery sorted by deliver time, which is exactly the
+        scalar path's order.
         """
         tick = self._update_tick
         line = self._feedback_line
-        soa = self._soa
         table = self._table
         bk = self._backend
-        batches: List[Tuple[_FeedbackGeneration, object, object]] = []
+        batches: List[Tuple[_FeedbackGeneration, np.ndarray, np.ndarray]] = []
         repeated = False
         for gen in line:
             if gen.next_due_s > now:
@@ -792,35 +754,18 @@ class FluidSimulation:
             lanes = np.flatnonzero(due)
             if lanes.size:
                 gen.undelivered[lanes] = False
-                if soa:
-                    rows = bk.gather_rows(gen.rows, lanes)
-                    valid = bk.gather_rows(table.feedback_live, rows) & (
-                        bk.gather_rows(table.epoch, rows) == gen.epochs[lanes]
-                    )
-                    if not valid.all():
-                        rows = rows[valid]
-                        lanes = lanes[valid]
-                    if rows.size:
-                        if (table.feedback_tick[rows] == tick).any():
-                            repeated = True
-                        table.feedback_tick[rows] = tick
-                        batches.append((gen, rows, lanes))
-                else:
-                    flows = gen.flows
-                    ccs: list = []
-                    kept: list = []
-                    for j in lanes.tolist():
-                        flow = flows[j]
-                        if not flow._feedback_live:
-                            continue
-                        if flow._feedback_tick == tick:
-                            repeated = True
-                        else:
-                            flow._feedback_tick = tick
-                        ccs.append(flow.cc)
-                        kept.append(j)
-                    if ccs:
-                        batches.append((gen, ccs, kept))
+                rows = bk.gather_rows(gen.rows, lanes)
+                valid = bk.gather_rows(table.feedback_live, rows) & (
+                    bk.gather_rows(table.epoch, rows) == gen.epochs[lanes]
+                )
+                if not valid.all():
+                    rows = rows[valid]
+                    lanes = lanes[valid]
+                if rows.size:
+                    if (table.feedback_tick[rows] == tick).any():
+                        repeated = True
+                    table.feedback_tick[rows] = tick
+                    batches.append((gen, rows, lanes))
             remaining_lanes = gen.undelivered
             if remaining_lanes.any():
                 gen.next_due_s = float(gen.deliver_s[remaining_lanes].min())
@@ -834,78 +779,38 @@ class FluidSimulation:
         if repeated:
             self._deliver_repeated(batches, now)
             return
-        if soa:
-            if not self._cc_blocks:
-                # object-gather baseline (the CC benchmark's comparison
-                # point): gather the controllers off the table and run the
-                # object-level batch delivery
-                self._ctr_object_gather.inc()
-                for gen, rows, lanes in batches:
-                    ccs = [table.flow_at(r).cc for r in rows.tolist()]
-                    self._deliver_object_batch(gen, ccs, lanes, now)
-                return
-            counts = table.class_counts
-            single_cls = next(iter(counts)) if len(counts) == 1 else None
-            for gen, rows, lanes in batches:
-                if single_cls is not None:
-                    self._ctr_cc_kernels.inc()
-                    single_cls.feedback_batch_slots(
-                        table,
-                        rows,
-                        gen.generated_s,
-                        gen.ecn[lanes],
-                        gen.util[lanes],
-                        gen.rtt[lanes],
-                        gen.qd[lanes],
-                        now,
-                    )
-                    continue
-                # mixed fleet: split the batch per CC class (one boolean
-                # mask per class present — controllers are per-flow and
-                # independent, so grouped delivery matches the scalar
-                # per-flow order bit for bit) and stay on the in-place
-                # column kernels
-                cids = table.cc_class_id[rows]
-                for cid in np.unique(cids).tolist():
-                    sel = np.flatnonzero(cids == cid)
-                    self._ctr_cc_kernels.inc()
-                    table.cc_class_at(cid).feedback_batch_slots(
-                        table,
-                        rows[sel],
-                        gen.generated_s,
-                        gen.ecn[lanes[sel]],
-                        gen.util[lanes[sel]],
-                        gen.rtt[lanes[sel]],
-                        gen.qd[lanes[sel]],
-                        now,
-                    )
-            return
-        for gen, ccs, kept in batches:
-            self._deliver_object_batch(gen, ccs, np.array(kept, dtype=np.intp), now)
-
-    def _deliver_object_batch(self, gen, ccs, kidx, now: float) -> None:
-        """Per-object batched delivery (legacy core / mixed fleets)."""
-        cc_cls = type(ccs[0])
-        if all(type(cc) is cc_cls for cc in ccs):
-            cc_cls.feedback_batch(
-                ccs,
-                gen.generated_s,
-                gen.ecn[kidx],
-                gen.util[kidx],
-                gen.rtt[kidx],
-                gen.qd[kidx],
-                now,
-            )
-        else:
-            ecn_l = gen.ecn[kidx].tolist()
-            util_l = gen.util[kidx].tolist()
-            rtt_l = gen.rtt[kidx].tolist()
-            qd_l = gen.qd[kidx].tolist()
-            for k, cc in enumerate(ccs):
-                cc.on_feedback(
-                    FeedbackSignal(
-                        gen.generated_s, ecn_l[k], util_l[k], rtt_l[k], qd_l[k]
-                    ),
+        counts = table.class_counts
+        single_cls = next(iter(counts)) if len(counts) == 1 else None
+        for gen, rows, lanes in batches:
+            if single_cls is not None:
+                self._ctr_cc_kernels.inc()
+                single_cls.feedback_batch_slots(
+                    table,
+                    rows,
+                    gen.generated_s,
+                    gen.ecn[lanes],
+                    gen.util[lanes],
+                    gen.rtt[lanes],
+                    gen.qd[lanes],
+                    now,
+                )
+                continue
+            # mixed fleet: split the batch per CC class (one boolean mask
+            # per class present — controllers are per-flow and independent,
+            # so grouped delivery matches the scalar per-flow order bit for
+            # bit) and stay on the in-place column kernels
+            cids = table.cc_class_id[rows]
+            for cid in np.unique(cids).tolist():
+                sel = np.flatnonzero(cids == cid)
+                self._ctr_cc_kernels.inc()
+                table.cc_class_at(cid).feedback_batch_slots(
+                    table,
+                    rows[sel],
+                    gen.generated_s,
+                    gen.ecn[lanes[sel]],
+                    gen.util[lanes[sel]],
+                    gen.rtt[lanes[sel]],
+                    gen.qd[lanes[sel]],
                     now,
                 )
 
@@ -913,13 +818,9 @@ class FluidSimulation:
         """Slow path: some flow has several signals due in one step."""
         self._ctr_repeated.inc()
         by_flow: Dict[int, list] = {}
-        for gen, payload, lanes in batches:
-            if self._soa:
-                idxs = lanes.tolist()
-                flows = [self._table.flow_at(r) for r in payload.tolist()]
-            else:
-                idxs = list(lanes)
-                flows = [gen.flows[j] for j in idxs]
+        for gen, rows, lanes in batches:
+            idxs = lanes.tolist()
+            flows = [self._table.flow_at(r) for r in rows.tolist()]
             deliver_l = gen.deliver_s[idxs].tolist()
             ecn_l = gen.ecn[idxs].tolist()
             util_l = gen.util[idxs].tolist()
@@ -952,7 +853,7 @@ class FluidSimulation:
         here: their intra-segment association is unspecified (numpy may
         block the reduction), which lands one ulp away from the scalar
         result on some queue patterns and breaks the bit-identity contract.
-        The fused backend collapses the masked per-hop gathers into
+        The numpy backend collapses the masked per-hop gathers into
         contiguous column strides when every path has the same hop count
         — the common testbed geometry — preserving the association order.
 
@@ -1022,15 +923,15 @@ class FluidSimulation:
         self._maybe_stop()
 
     def _update_step_vectorized(self) -> None:
-        """The SoA core: every per-step operation is array math.
+        """The vectorized core: every per-step operation is array math.
 
         Mirrors :meth:`_update_step_scalar` operation for operation — the
         accumulation / reduction orders match the scalar loops, so queue
         state, feedback signals and FCTs come out bit-identical (guarded
-        by ``tests/simulator/test_vectorized_equivalence.py``).  Unlike
-        the legacy core below, per-flow state is read and written directly
-        in :class:`~repro.simulator.flow_table.FlowTable` columns — the
-        step performs no per-flow Python work at all outside the rare
+        by ``tests/simulator/test_vectorized_equivalence.py``).  Per-flow
+        state is read and written directly in
+        :class:`~repro.simulator.flow_table.FlowTable` columns — the step
+        performs no per-flow Python work at all outside the rare
         completion / repeated-feedback paths.
         """
         now = self.engine.now
@@ -1151,31 +1052,18 @@ class FluidSimulation:
             self._deliver_feedback_line(now)
 
         with self._sp_cc:
-            if not self._cc_blocks:
-                # object-gather baseline (the CC benchmark's comparison
-                # point)
-                self._ctr_object_gather.inc()
-                controllers = [table.flow_at(s).cc for s in rows.tolist()]
-                cc_cls = type(controllers[0])
-                if all(type(cc) is cc_cls for cc in controllers):
-                    cc_cls.advance_batch(controllers, dt, now)
-                else:
-                    for cc in controllers:
-                        cc.on_interval(dt, now)
+            counts = table.class_counts
+            if len(counts) == 1:
+                (cc_cls,) = counts
+                self._ctr_cc_kernels.inc()
+                cc_cls.advance_batch_slots(table, rows, dt, now)
             else:
-                counts = table.class_counts
-                if len(counts) == 1:
-                    (cc_cls,) = counts
+                # mixed fleet: each class advances its cached row registry
+                # in place — controllers are per-flow and independent, so
+                # grouped advancement matches the scalar per-flow order
+                for cc_cls, cls_rows in table.rows_by_class():
                     self._ctr_cc_kernels.inc()
-                    cc_cls.advance_batch_slots(table, rows, dt, now)
-                else:
-                    # mixed fleet: each class advances its cached row
-                    # registry in place — controllers are per-flow and
-                    # independent, so grouped advancement matches the
-                    # scalar per-flow order
-                    for cc_cls, cls_rows in table.rows_by_class():
-                        self._ctr_cc_kernels.inc()
-                        cc_cls.advance_batch_slots(table, cls_rows, dt, now)
+                    cc_cls.advance_batch_slots(table, cls_rows, dt, now)
 
         with self._sp_completions:
             # 6. completions (mark_finished touches no controller state, so
@@ -1198,151 +1086,6 @@ class FluidSimulation:
             # inter-DC link objects between steps
             inc.sync_inter_dc()
             self._maybe_stop()
-
-    def _update_step_vectorized_legacy(self) -> None:
-        """The PR-2 object-resident vectorized core (``soa=False``).
-
-        Kept verbatim as the measured baseline of the high-concurrency
-        step-throughput benchmark: the array math is the same as the SoA
-        core's, but per-flow state lives in Python objects, so every step
-        crosses the Python↔numpy boundary O(flows) times (``np.fromiter``
-        gathers, ``.tolist()`` writeback loops, per-object controller
-        batches).  Bit-for-bit identical to both other cores.
-        """
-        now = self.engine.now
-        dt = self.config.update_interval_s
-        self._update_tick += 1
-        if not self._active:
-            self._maybe_stop()
-            return
-
-        # 0. lazy fast-failover sweep (may reroute / fail flows)
-        self.revalidate_flows(now)
-        active = self._active
-        if not active:
-            self._maybe_stop()
-            return
-
-        bk = self._backend
-        inc = self._incidence
-        inc.refresh(self._active_rows())
-        num_flows = len(active)
-        idx, starts = inc.idx, inc.starts
-        cap, up = inc.cap_bps, inc.up
-
-        # 1. offered load per link (object gather, PR-2 layout)
-        rates = np.fromiter(
-            (flow.cc.rate_bps for flow in active), dtype=np.float64, count=num_flows
-        )
-        offered = bk.scatter_add(
-            inc.num_links, idx, bk.expand_segments(rates, inc.lengths)
-        )
-
-        # 2. queue integration + per-link scaling factor
-        act = inc.active_slots
-        queue, peak, carried, dropped, _ = RuntimeLink.integrate_batch(
-            offered[act],
-            dt,
-            cap[act],
-            up[act],
-            inc.buffer_bytes[act],
-            inc.queue_bytes[act],
-            inc.peak_queue_bytes[act],
-            inc.carried_bytes[act],
-            inc.dropped_bytes[act],
-        )
-        inc.queue_bytes[act] = queue
-        inc.peak_queue_bytes[act] = peak
-        inc.carried_bytes[act] = carried
-        inc.dropped_bytes[act] = dropped
-        inc.offered_bps[act] = offered[act]
-
-        loaded = offered > 0
-        ratio = bk.masked_divide(cap, offered, loaded)
-        scale = bk.masked_where(
-            ~up, 0.0, bk.masked_where(loaded, np.minimum(1.0, ratio), 1.0)
-        )
-
-        # 3. per-flow achieved rate: min scale across the path
-        factor = bk.segment_reduce(
-            bk.gather_rows(scale, idx), starts, inc.lengths, "min"
-        )
-        achieved = rates * factor
-        want = achieved * dt / 8.0
-        before = np.fromiter(
-            (flow.remaining_bytes for flow in active), dtype=np.float64, count=num_flows
-        )
-        remaining = before - np.minimum(want, before)
-
-        # 4. congestion feedback from the same arrays
-        q = inc.queue_bytes
-        span = inc.ecn_kmax - inc.ecn_kmin
-        mark = bk.masked_divide(inc.ecn_pmax * (q - inc.ecn_kmin), span, span > 0)
-        mark = bk.masked_where(
-            q <= inc.ecn_kmin, 0.0, bk.masked_where(q >= inc.ecn_kmax, 1.0, mark)
-        )
-
-        util = bk.masked_divide(offered, cap, cap > 0)
-        max_util = bk.segment_reduce(
-            bk.gather_rows(util, idx), starts, inc.lengths, "max"
-        )
-
-        not_marked, queue_delay = self._accumulate_path_signals(
-            inc, 1.0 - mark, q * 8.0 / cap
-        )
-        ecn_fraction = 1.0 - not_marked
-        base_rtt = np.fromiter(
-            (flow.base_rtt_s for flow in active), dtype=np.float64, count=num_flows
-        )
-        rtt = base_rtt + queue_delay
-
-        # 5. feedback into the delay line (lanes keyed by flow object),
-        # per-flow writeback loops, delivery, controller advance
-        self._feedback_line.append(
-            _FeedbackGeneration(
-                now,
-                now + base_rtt,
-                ecn_fraction,
-                max_util,
-                rtt,
-                queue_delay,
-                flows=list(active),
-            )
-        )
-        achieved_l = achieved.tolist()
-        remaining_l = remaining.tolist()
-        for i, flow in enumerate(active):
-            flow.achieved_bps = achieved_l[i]
-            flow.remaining_bytes = remaining_l[i]
-        self._deliver_feedback_line(now)
-
-        controllers = [flow.cc for flow in active]
-        cc_cls = type(controllers[0])
-        if all(type(cc) is cc_cls for cc in controllers):
-            cc_cls.advance_batch(controllers, dt, now)
-        else:
-            for cc in controllers:
-                cc.on_interval(dt, now)
-
-        # 6. completions
-        finished: List[Flow] = []
-        completed_idx = np.flatnonzero(remaining <= 0.0)
-        if completed_idx.size:
-            want_l = want[completed_idx].tolist()
-            before_l = before[completed_idx].tolist()
-            for k, i in enumerate(completed_idx.tolist()):
-                flow = active[i]
-                would_send = want_l[k]
-                fraction = before_l[k] / would_send if would_send > 0 else 1.0
-                fraction = min(1.0, max(0.0, fraction))
-                flow.mark_finished(now + fraction * dt)
-                finished.append(flow)
-
-        self._finish_flows(finished)
-        # the queue monitor, link traces and scenario events read inter-DC
-        # link objects between steps
-        inc.sync_inter_dc()
-        self._maybe_stop()
 
     # ------------------------------------------------------------------ #
     # helpers
@@ -1372,7 +1115,6 @@ class FluidSimulation:
 
     def _fail_flow(self, flow: Flow, now: float) -> None:
         """Explicitly fail a flow stranded on a dead path past the timeout."""
-        flow._feedback_live = False
         self._remove_active(flow)
         if self._table is not None:
             self._incidence.remove_row(flow._slot)

@@ -1,19 +1,17 @@
 """Array-resident switch telemetry — the control plane's data layer.
 
 The paper's LCMP prototype keeps per-port congestion registers on every DCI
-switch, refreshed by a lightweight monitor routine.  Up to PR 3 this
-repository modelled that with per-tick Python objects: every monitor sweep
-materialised one :class:`~repro.simulator.switch.PortSample` per port per
-switch and handed it to the router, whether or not the router cared.
-
-:class:`TelemetryPlane` replaces that with per-switch × per-port *columns*:
+switch, refreshed by a lightweight monitor routine.  The scalar core models
+that with per-tick Python objects: every monitor sweep materialises one
+:class:`~repro.simulator.switch.PortSample` per port per switch and hands it
+to the router.  Under the vectorized core, :class:`TelemetryPlane` keeps
+per-switch × per-port *columns* instead:
 
 * a **port registry** built once from the runtime network — every DCI
   egress port gets a stable row, ports of one switch are contiguous;
 * **telemetry columns** (queue depth, cumulative carried bytes, offered
   load, capacity, liveness, per-interval utilisation, a queue-depth EWMA)
-  refreshed by one :meth:`sweep` per monitor interval.  Under the
-  vectorized cores the sweep is a handful of fancy-indexed gathers from the
+  refreshed by one :meth:`sweep` per monitor interval.  The sweep is a handful of fancy-indexed gathers from the
   flow×link incidence arrays (:mod:`repro.simulator.incidence`) — the same
   arrays the update step writes — so a sweep costs O(1) numpy calls, not
   O(ports) Python object constructions;
@@ -32,11 +30,11 @@ switch and handed it to the router, whether or not the router cared.
   entirely.
 
 Bit-equivalence contract: the columns are gathered from link state that the
-vectorized cores sync back to the :class:`~repro.simulator.link.RuntimeLink`
+vectorized core syncs back to the :class:`~repro.simulator.link.RuntimeLink`
 objects at the end of every update step, and the monitor fires *before* the
 update when both land on the same instant — so a sweep at time t observes
 exactly the values the scalar core's object sampler reads, and router
-state/traces stay bit-identical across all three cores (guarded by
+state/traces stay bit-identical across both cores (guarded by
 ``tests/simulator/test_telemetry.py`` and the equivalence suite).
 """
 
@@ -255,7 +253,7 @@ class TelemetryPlane:
     def sweep(self, now: float) -> None:
         """Refresh every column from current link state.
 
-        Under the vectorized cores this reads the incidence arrays (the
+        Under the vectorized core this reads the incidence arrays (the
         authoritative home of link state between update steps); without an
         attached incidence it gathers from the link objects — both observe
         the identical post-step values.

@@ -94,7 +94,11 @@ class FabricSpec:
         return self.regions * self.dcs_per_region
 
     def validate(self) -> None:
-        """Sanity-check the spec before generation."""
+        """Sanity-check the spec before generation.
+
+        Raises:
+            ValueError: naming the offending field.
+        """
         if self.regions < 1 or self.cores_per_region < 1:
             raise ValueError("need at least one region with one core DC")
         if self.aggs_per_core < 0 or self.edges_per_agg < 0:
@@ -106,6 +110,14 @@ class FabricSpec:
         for lo, hi in (self.metro_delay_ms, self.backbone_delay_ms):
             if lo <= 0 or hi < lo:
                 raise ValueError("delay ranges must be positive and ordered")
+        if self.backbone_chords < 0:
+            raise ValueError(
+                f"backbone_chords must be non-negative, got {self.backbone_chords}"
+            )
+        if self.hosts_per_dc <= 0:
+            raise ValueError(f"hosts_per_dc must be positive, got {self.hosts_per_dc}")
+        if self.nic_gbps <= 0:
+            raise ValueError(f"nic_gbps must be positive, got {self.nic_gbps}")
 
 
 #: the canned ~400-DC continental fabric used by the memory benchmark

@@ -1,7 +1,7 @@
 """End-to-end backend equivalence: full simulations across array backends.
 
-The fused numpy backend promises **bitwise** identity with the reference
-on every observable output (FCT records, link stats, failures, scenario
+The numpy backend promises **bitwise** identity with the scalar core on
+every observable output (FCT records, link stats, failures, scenario
 outcomes); the torch backend (exercised only where torch is installed)
 promises equivalence within the documented tolerance.  These runs cover
 the paths the kernels rewired: offered-load scatter-add, queue/ECN
@@ -27,11 +27,17 @@ CCS = ["dcqcn", "hpcc", "timely", "dctcp", "ideal"]
 ROUTERS = ["ecmp", "wcmp", "ucmp", "redte"]
 
 
-def run_with(backend: str, cc="dcqcn", router="ecmp", cc_mix=None, seed=7):
-    """One small-but-complete testbed8 run on the given backend."""
+def run_with(backend, cc="dcqcn", router="ecmp", cc_mix=None, seed=7):
+    """One small-but-complete testbed8 run on the given backend.
+
+    ``backend=None`` runs the scalar core (the executable specification).
+    """
     topology = build_testbed8(capacity_scale=0.1)
     paths = _testbed8_pathset(topology)
-    config = SimulationConfig(seed=seed, backend=backend)
+    if backend is None:
+        config = SimulationConfig(seed=seed, vectorized=False)
+    else:
+        config = SimulationConfig(seed=seed, backend=backend)
     traffic = TrafficConfig(
         workload="websearch", load=0.4, num_flows=300,
         pairs=[("DC1", "DC8"), ("DC2", "DC7")], seed=seed,
@@ -48,28 +54,27 @@ def run_with(backend: str, cc="dcqcn", router="ecmp", cc_mix=None, seed=7):
     return result
 
 
-class TestFusedBitIdentity:
+class TestNumpyBitIdentity:
     @pytest.mark.parametrize("cc", CCS)
-    def test_fused_identical_per_cc(self, cc):
-        reference = run_with("numpy", cc=cc)
-        fused = run_with("numpy_fused", cc=cc)
-        assert_results_identical(reference, fused, label=f"numpy vs fused [{cc}]")
+    def test_numpy_identical_to_scalar_per_cc(self, cc):
+        scalar = run_with(None, cc=cc)
+        vector = run_with("numpy", cc=cc)
+        assert_results_identical(scalar, vector, label=f"scalar vs numpy [{cc}]")
 
     @pytest.mark.parametrize("router", ROUTERS)
-    def test_fused_identical_per_router(self, router):
-        reference = run_with("numpy", router=router)
-        fused = run_with("numpy_fused", router=router)
+    def test_numpy_identical_to_scalar_per_router(self, router):
+        scalar = run_with(None, router=router)
+        vector = run_with("numpy", router=router)
         assert_results_identical(
-            reference, fused, label=f"numpy vs fused [{router}]"
+            scalar, vector, label=f"scalar vs numpy [{router}]"
         )
 
-    def test_fused_identical_lcmp(self):
+    def test_numpy_identical_to_scalar_lcmp(self):
         from repro.core import lcmp_router_factory
 
-        def run(backend):
+        def run(config):
             topology = build_testbed8(capacity_scale=0.1)
             paths = _testbed8_pathset(topology)
-            config = SimulationConfig(seed=3, backend=backend)
             traffic = TrafficConfig(
                 workload="websearch", load=0.4, num_flows=200,
                 pairs=[("DC1", "DC8")], seed=3,
@@ -81,36 +86,16 @@ class TestFusedBitIdentity:
             return sim.run()
 
         assert_results_identical(
-            run("numpy"), run("numpy_fused"), label="numpy vs fused [lcmp]"
+            run(SimulationConfig(seed=3, vectorized=False)),
+            run(SimulationConfig(seed=3, backend="numpy")),
+            label="scalar vs numpy [lcmp]",
         )
 
-    def test_fused_identical_mixed_cc_fleet(self):
+    def test_numpy_identical_to_scalar_mixed_cc_fleet(self):
         mix = (("dcqcn", 0.5), ("hpcc", 0.3), ("dctcp", 0.2))
-        reference = run_with("numpy", cc_mix=mix)
-        fused = run_with("numpy_fused", cc_mix=mix)
-        assert_results_identical(reference, fused, label="numpy vs fused [mix]")
-
-    def test_fused_identical_to_scalar_core(self):
-        topology = build_testbed8(capacity_scale=0.1)
-        paths = _testbed8_pathset(topology)
-        traffic = TrafficConfig(
-            workload="websearch", load=0.4, num_flows=120,
-            pairs=[("DC1", "DC8")], seed=11,
-        )
-        demands = TrafficGenerator(topology, paths, traffic).generate()
-
-        def run(config):
-            network = RuntimeNetwork(
-                topology, paths, make_router_factory("ecmp"), config
-            )
-            sim = FluidSimulation(
-                network, list(demands), make_cc_factory("dcqcn"), config
-            )
-            return sim.run()
-
-        scalar = run(SimulationConfig(seed=11, vectorized=False))
-        fused = run(SimulationConfig(seed=11, backend="numpy_fused"))
-        assert_results_identical(scalar, fused, label="scalar vs fused")
+        scalar = run_with(None, cc_mix=mix)
+        vector = run_with("numpy", cc_mix=mix)
+        assert_results_identical(scalar, vector, label="scalar vs numpy [mix]")
 
 
 class TestTorchTolerance:

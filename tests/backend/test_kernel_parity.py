@@ -1,7 +1,7 @@
 """Kernel-parity suite: every backend kernel vs a naive loop reference.
 
-Each registered backend (``available_backends()`` — numpy and numpy_fused
-always, torch when installed) is driven through every kernel of the
+Each available backend (``available_backends()`` — numpy always, torch
+when installed) is driven through every kernel of the
 :class:`~repro.backend.ArrayBackend` contract and compared against a
 hand-written per-element Python loop on the geometries that historically
 break fused kernels:
@@ -10,10 +10,10 @@ break fused kernels:
 * single-element segments,
 * duplicate scatter indices (accumulation order),
 * non-contiguous / permuted row subsets,
-* uniform segment lengths (the fused backend's reshape fast path) and
-  ragged mixes (its fallback path).
+* uniform segment lengths (the numpy backend's reshape fast path), and
+  mixed hop counts and ragged mixes (its ``reduceat`` / walk fallbacks).
 
-The numpy-family backends must match the loop reference **bitwise**; the
+The numpy backend must match the loop reference **bitwise**; the
 torch backend is allowed the documented tolerance on float kernels (see
 DESIGN.md, "Array backends & kernels").
 """
@@ -28,7 +28,7 @@ from repro.backend import available_backends, get_backend
 BACKENDS = available_backends()
 
 #: bitwise-contract backends; torch gets the tolerance comparison
-EXACT = {"numpy", "numpy_fused"}
+EXACT = {"numpy"}
 
 
 def _assert_equal(name: str, got, want) -> None:
@@ -55,7 +55,15 @@ def csr_cases():
     values = rng.normal(size=int(lengths.sum()))
     cases["ragged"] = (values, starts, lengths)
 
-    # uniform length (fused reshape fast path), includes negatives/zeros
+    # mixed hop counts: contiguous, no empty segment, lengths differ —
+    # the reduceat / masked-walk branch of the numpy backend
+    lengths = np.array([3, 4, 3, 5, 2, 4], dtype=np.int64)
+    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+    values = rng.normal(size=int(lengths.sum()))
+    values[5] = -0.0
+    cases["mixed_hops"] = (values, starts, lengths)
+
+    # uniform length (the reshape fast path), includes negatives/zeros
     lengths = np.full(6, 4, dtype=np.int64)
     starts = np.arange(6, dtype=np.int64) * 4
     values = rng.normal(size=24)
@@ -167,6 +175,27 @@ class TestSegmentReduce:
             backend.segment_reduce(values, starts, lengths, "mean")
 
 
+class TestNumpyBranchCoverage:
+    """The geometries above reach both branches of each merged kernel."""
+
+    @pytest.mark.parametrize(
+        "case, width",
+        [("uniform", 4), ("unit", 1), ("mixed_hops", None), ("ragged", None)],
+    )
+    def test_uniform_detection(self, case, width):
+        values, starts, lengths = CSR_CASES[case]
+        bk = get_backend("numpy")
+        assert bk._uniform_length(len(values), starts, lengths) == width
+
+    def test_scatter_add_matches_add_at(self):
+        rng = np.random.default_rng(5)
+        idx = rng.integers(0, 50, size=4000).astype(np.intp)
+        values = rng.normal(size=4000)
+        want = np.zeros(60)
+        np.add.at(want, idx, values)
+        np.testing.assert_array_equal(get_backend("numpy").scatter_add(60, idx, values), want)
+
+
 # --------------------------------------------------------------------- #
 # segment_cumidx / expand_segments
 # --------------------------------------------------------------------- #
@@ -191,7 +220,7 @@ class TestSegmentMaps:
 # path_signals
 # --------------------------------------------------------------------- #
 class TestPathSignals:
-    @pytest.mark.parametrize("case", ["ragged", "uniform", "unit", "empty"])
+    @pytest.mark.parametrize("case", ["ragged", "mixed_hops", "uniform", "unit", "empty"])
     def test_matches_segment_reduce_pair(self, backend, case):
         values, starts, lengths = CSR_CASES[case]
         rng = np.random.default_rng(9)

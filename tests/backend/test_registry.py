@@ -17,10 +17,14 @@ from repro.simulator import SimulationConfig
 
 
 class TestRegistry:
-    def test_numpy_backends_always_available(self):
-        names = available_backends()
-        assert "numpy" in names
-        assert "numpy_fused" in names
+    def test_numpy_backend_always_available(self):
+        # one numpy backend, plus torch only where torch imports
+        expected = ["numpy"] + (["torch"] if torch_available() else [])
+        assert available_backends() == expected
+
+    def test_merged_backend_name_is_gone(self):
+        with pytest.raises(ValueError, match="registered: numpy, torch"):
+            get_backend("numpy_fused")
 
     def test_torch_listed_only_when_importable(self):
         assert ("torch" in available_backends()) == torch_available()
@@ -55,12 +59,9 @@ class TestRegistry:
 
     def test_backend_attributes(self):
         numpy_bk = get_backend("numpy")
-        fused_bk = get_backend("numpy_fused")
         assert numpy_bk.name == "numpy"
-        assert fused_bk.name == "numpy_fused"
         assert numpy_bk.xp is np
         assert not numpy_bk.is_device
-        assert not fused_bk.is_device
 
 
 class TestConfigPlumbing:
@@ -69,21 +70,37 @@ class TestConfigPlumbing:
         config.validate()
         assert config.backend == "numpy"
 
-    def test_fused_backend_accepted(self):
-        SimulationConfig(backend="numpy_fused").validate()
+    def test_removed_fused_backend_rejected(self):
+        with pytest.raises(ValueError, match=r"registered: numpy, torch"):
+            SimulationConfig(backend="numpy_fused").validate()
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="backend"):
             SimulationConfig(backend="jax").validate()
 
-    def test_scalar_core_only_runs_reference_backend(self):
+    def test_scalar_core_only_runs_numpy_backend(self):
         with pytest.raises(ValueError, match="scalar core"):
-            SimulationConfig(vectorized=False, backend="numpy_fused").validate()
+            SimulationConfig(vectorized=False, backend="torch").validate()
 
     def test_experiment_spec_carries_backend(self):
         from repro.experiments.configs import ExperimentSpec
         from repro.experiments.runner import ExperimentRunner
 
-        spec = ExperimentSpec(name="bk", backend="numpy_fused")
+        spec = ExperimentSpec(name="bk", backend="torch")
         config = ExperimentRunner().simulation_config_for(spec)
-        assert config.backend == "numpy_fused"
+        assert config.backend == "torch"
+
+    def test_experiment_spec_with_removed_backend_fails_in_runner(self):
+        from repro.experiments.configs import ExperimentSpec
+        from repro.experiments.runner import ExperimentRunner
+
+        spec = ExperimentSpec(name="bk", backend="numpy_fused", num_flows=20)
+        with pytest.raises(ValueError, match=r"registered: numpy, torch"):
+            ExperimentRunner().run(spec)
+
+
+class TestRemovedCoreSelectors:
+    @pytest.mark.parametrize("field", ["soa", "cc_blocks", "batched_control"])
+    def test_removed_selector_is_not_a_field(self, field):
+        with pytest.raises(TypeError, match=field):
+            SimulationConfig(**{field: False})

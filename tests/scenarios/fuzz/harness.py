@@ -3,10 +3,10 @@
 The harness is the glue between generated cases and the reusable
 invariant checkers: ``run_case`` builds and runs one simulation for one
 core flavour, ``check_all_invariants`` runs the full cross-core sweep —
-scalar (reference, with the live dead-link monitor attached), legacy
-vectorized, SoA, cc_blocks, cc_blocks on the fused array backend (and on
-the torch backend where torch is installed), and cc_blocks with
-instrumentation — and asserts all four invariant families on the results.
+scalar (reference, with the live dead-link monitor attached), the default
+vectorized core (and the torch backend where torch is installed), the
+default core with instrumentation and the default core on an eager path
+set — and asserts all four invariant families on the results.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def make_config(case: FuzzCase, core: str, instrumentation: bool = False) -> Sim
 
 def run_case(
     case: FuzzCase,
-    core: str = "cc_blocks",
+    core: str = "default",
     instrumentation: bool = False,
     with_monitor: bool = False,
     lazy: bool = True,
@@ -71,7 +71,7 @@ def run_case(
     return sim.run(), monitor
 
 
-def run_baseline(case: FuzzCase, core: str = "cc_blocks"):
+def run_baseline(case: FuzzCase, core: str = "default"):
     """Run a case's demands with NO scenario attached (pre-event baseline)."""
     topology = build_fuzz_topology(case.topology_name)
     paths = build_fuzz_pathset(topology)
@@ -106,12 +106,11 @@ def check_all_invariants(case: FuzzCase, require_drained: bool = True) -> Dict[s
     )
 
     results: Dict[str, object] = {"scalar": reference}
-    for core in ("vectorized", "soa", "cc_blocks", "numpy_fused"):
-        other, other_monitor = run_case(case, core=core, with_monitor=True)
-        check_demand_conservation(other, len(case.demands))
-        check_no_dead_link_traffic(other, case.scenario, topology, other_monitor)
-        assert_results_identical(reference, other, label=f"scalar vs {core}")
-        results[core] = other
+    other, other_monitor = run_case(case, core="default", with_monitor=True)
+    check_demand_conservation(other, len(case.demands))
+    check_no_dead_link_traffic(other, case.scenario, topology, other_monitor)
+    assert_results_identical(reference, other, label="scalar vs default")
+    results["default"] = other
     if "torch" in CORE_CONFIGS:
         # device backend: duplicate-accumulation order is unspecified on
         # GPUs, so this core is held to the documented tolerance instead
@@ -121,11 +120,11 @@ def check_all_invariants(case: FuzzCase, require_drained: bool = True) -> Dict[s
         check_no_dead_link_traffic(other, case.scenario, topology, other_monitor)
         assert_results_close(reference, other, label="scalar vs torch")
         results["torch"] = other
-    instrumented, _ = run_case(case, core="cc_blocks", instrumentation=True)
+    instrumented, _ = run_case(case, core="default", instrumentation=True)
     assert_results_identical(reference, instrumented, label="scalar vs instrumented")
     results["instrumented"] = instrumented
     # lazy vs eager path sets must be indistinguishable at run level
-    eager, eager_monitor = run_case(case, core="cc_blocks", with_monitor=True, lazy=False)
+    eager, eager_monitor = run_case(case, core="default", with_monitor=True, lazy=False)
     check_demand_conservation(eager, len(case.demands))
     check_no_dead_link_traffic(eager, case.scenario, topology, eager_monitor)
     assert_results_identical(reference, eager, label="lazy vs eager pathset")

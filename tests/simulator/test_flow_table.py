@@ -262,7 +262,7 @@ class TestSimulationChurn:
             FlowDemand(i, "A", "B", i % 4, (i + 1) % 4, 2_000_000, 0.002 * i)
             for i in range(40)
         ]
-        config = quick_sim_config.with_overrides(vectorized=True, soa=True)
+        config = quick_sim_config.with_overrides(vectorized=True)
         network = RuntimeNetwork(
             tiny_topology, tiny_pathset, make_router_factory("ecmp"), config
         )

@@ -207,20 +207,17 @@ class TestRouterStateEquivalence:
 
 
 class TestEndToEndTraceEquivalence:
-    """Telemetry traces must stay bit-identical across all control planes
-    (the monitored half of the ISSUE's equivalence criterion; the
-    three-core scenario equivalence lives in
-    test_vectorized_equivalence.py)."""
+    """Telemetry traces must stay bit-identical across both control planes
+    (the monitored half of the equivalence criterion; the scenario
+    equivalence lives in test_vectorized_equivalence.py)."""
 
-    def run(self, batched, vectorized=True, soa=True):
+    def run(self, vectorized):
         from repro.congestion_control import make_cc_factory
         from repro.workloads import TrafficConfig, TrafficGenerator
 
         topology = build_testbed8(capacity_scale=0.1)
         paths = _testbed8_pathset(topology)
-        config = SimulationConfig(
-            seed=3, vectorized=vectorized, soa=soa, batched_control=batched
-        )
+        config = SimulationConfig(seed=3, vectorized=vectorized)
         traffic = TrafficConfig(
             workload="websearch",
             load=0.3,
@@ -238,17 +235,13 @@ class TestEndToEndTraceEquivalence:
         return sim.run()
 
     def test_trace_identical_across_control_planes(self):
-        batched = self.run(batched=True)
-        legacy = self.run(batched=False)
-        scalar = self.run(batched=True, vectorized=False)  # scalar ignores flag
-        assert batched.trace.keys() == legacy.trace.keys() == scalar.trace.keys()
+        batched = self.run(vectorized=True)
+        scalar = self.run(vectorized=False)
+        assert batched.trace.keys() == scalar.trace.keys()
         for key in batched.trace.keys():
             sa = batched.trace.series(key)
-            sb = legacy.trace.series(key)
             sc = scalar.trace.series(key)
-            assert len(sa) == len(sb) == len(sc)
-            for pa, pb, pc in zip(sa, sb, sc):
-                assert dataclasses.asdict(pa) == dataclasses.asdict(pb)
+            assert len(sa) == len(sc)
+            for pa, pc in zip(sa, sc):
                 assert dataclasses.asdict(pa) == dataclasses.asdict(pc)
-        assert [r.fct_s for r in batched.records] == [r.fct_s for r in legacy.records]
         assert [r.fct_s for r in batched.records] == [r.fct_s for r in scalar.records]

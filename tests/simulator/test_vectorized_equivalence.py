@@ -1,9 +1,7 @@
-"""Scalar-vs-vectorized equivalence: the core guarantee of the numpy paths.
+"""Scalar-vs-vectorized equivalence: the core guarantee of the numpy path.
 
-Both vectorized cores — the structure-of-arrays FlowTable core
-(``SimulationConfig(vectorized=True)``, the default) and the object-resident
-legacy core (``soa=False``, the PR-2 layout kept as the benchmark baseline)
-— must produce *bit-for-bit* identical results to the pure-Python scalar
+The vectorized core (``SimulationConfig(vectorized=True)``, the default)
+must produce *bit-for-bit* identical results to the pure-Python scalar
 update loop on the same seed: every FCT record field, every link statistic,
 every scenario recovery metric.  These tests run the paths on identical
 inputs — static runs, scenario runs exercising mid-run reroutes, capacity
@@ -36,16 +34,10 @@ def run_sim(
     cc="dcqcn",
     num_flows=160,
     trace_links=False,
-    soa=True,
-    batched=True,
-    cc_blocks=True,
 ):
     topology = build_testbed8(capacity_scale=0.1)
     paths = _testbed8_pathset(topology)
-    config = SimulationConfig(
-        seed=7, vectorized=vectorized, soa=soa, batched_control=batched,
-        cc_blocks=cc_blocks,
-    )
+    config = SimulationConfig(seed=7, vectorized=vectorized)
     traffic = TrafficConfig(
         workload="websearch",
         load=0.35,
@@ -130,15 +122,6 @@ class TestStaticEquivalence:
         vector = run_sim(vectorized=True)
         assert_results_identical(scalar, vector)
 
-    def test_legacy_core_bitwise_identical(self):
-        """The object-resident PR-2 core (``soa=False``) stays equivalent
-        to both the scalar spec and the SoA core."""
-        scalar = run_sim(vectorized=False)
-        legacy = run_sim(vectorized=True, soa=False)
-        soa = run_sim(vectorized=True, soa=True)
-        assert_results_identical(scalar, legacy)
-        assert_results_identical(legacy, soa)
-
     @pytest.mark.parametrize("cc", ["dcqcn", "hpcc", "timely", "dctcp", "ideal"])
     def test_every_congestion_control(self, cc):
         scalar = run_sim(vectorized=False, cc=cc, num_flows=80)
@@ -146,25 +129,14 @@ class TestStaticEquivalence:
         assert_results_identical(scalar, vector)
 
     def test_mixed_fleet_all_cores(self):
-        """A heterogeneous fleet (grouped in-place kernels on the SoA
-        core) matches the scalar spec and the legacy core bit for bit."""
+        """A heterogeneous fleet (grouped in-place kernels on the
+        vectorized core) matches the scalar spec bit for bit."""
         factory = make_mixed_cc_factory(MIX, seed=7)
         assigned = {factory.labels[factory.assign(i)] for i in range(160)}
         assert len(assigned) > 1  # the run genuinely mixes classes
         scalar = run_sim(vectorized=False, cc=MIX)
-        soa = run_sim(vectorized=True, cc=MIX)
-        legacy = run_sim(vectorized=True, soa=False, cc=MIX)
-        assert_results_identical(scalar, soa)
-        assert_results_identical(scalar, legacy)
-
-    def test_object_gather_dispatch_bitwise_identical(self):
-        """The retained object-gather CC dispatch (``cc_blocks=False``,
-        the CC benchmark baseline) matches the block kernels, on a
-        uniform non-DCQCN fleet and on a mixed fleet."""
-        for cc in ("hpcc", MIX):
-            blocks = run_sim(vectorized=True, cc=cc, num_flows=80)
-            gathered = run_sim(vectorized=True, cc=cc, num_flows=80, cc_blocks=False)
-            assert_results_identical(blocks, gathered)
+        vector = run_sim(vectorized=True, cc=MIX)
+        assert_results_identical(scalar, vector)
 
     def test_link_trace_identical(self):
         scalar = run_sim(vectorized=False, num_flows=60, trace_links=True)
@@ -175,13 +147,6 @@ class TestStaticEquivalence:
             assert len(sa) == len(sb)
             for pa, pb in zip(sa, sb):
                 assert dataclasses.asdict(pa) == dataclasses.asdict(pb)
-
-    def test_pr3_control_plane_bitwise_identical(self):
-        """The per-flow control plane (``batched_control=False``, the PR-3
-        benchmark baseline) stays equivalent to the batched default."""
-        batched = run_sim(vectorized=True)
-        legacy_cp = run_sim(vectorized=True, batched=False)
-        assert_results_identical(batched, legacy_cp)
 
 
 class TestScenarioEquivalence:
@@ -200,25 +165,6 @@ class TestScenarioEquivalence:
         assert_results_identical(scalar, vector)
         assert_scenario_metrics_identical(scalar, vector)
 
-    @pytest.mark.parametrize("name", ["single-link-cut", "diurnal-surge"])
-    def test_canned_scenarios_legacy_core(self, name):
-        legacy = run_sim(vectorized=True, soa=False, scenario=early_scenario(name))
-        soa = run_sim(vectorized=True, soa=True, scenario=early_scenario(name))
-        assert_results_identical(legacy, soa)
-        assert_scenario_metrics_identical(legacy, soa)
-
-    @pytest.mark.parametrize(
-        "name", ["single-link-cut", "cascading-failure", "diurnal-surge", "rolling-maintenance"]
-    )
-    def test_canned_scenarios_pr3_control_plane(self, name):
-        """Batched arrivals + telemetry columns under every canned scenario
-        (surges, drains, maintenance windows, exact arrival/event time
-        ties) match the per-flow PR-3 control plane bit for bit."""
-        batched = run_sim(vectorized=True, scenario=early_scenario(name))
-        legacy_cp = run_sim(vectorized=True, batched=False, scenario=early_scenario(name))
-        assert_results_identical(batched, legacy_cp)
-        assert_scenario_metrics_identical(batched, legacy_cp)
-
     @pytest.mark.parametrize("cc", ["hpcc", "timely", "dctcp", "ideal"])
     def test_single_link_cut_per_cc(self, cc):
         """Scenario disruption under every migrated CC class: the in-place
@@ -227,12 +173,12 @@ class TestScenarioEquivalence:
             vectorized=False, cc=cc, num_flows=100,
             scenario=early_scenario("single-link-cut"),
         )
-        soa = run_sim(
+        vector = run_sim(
             vectorized=True, cc=cc, num_flows=100,
             scenario=early_scenario("single-link-cut"),
         )
-        assert_results_identical(scalar, soa)
-        assert_scenario_metrics_identical(scalar, soa)
+        assert_results_identical(scalar, vector)
+        assert_scenario_metrics_identical(scalar, vector)
 
     def test_single_link_cut_mixed_fleet(self):
         """Scenario disruption on a heterogeneous fleet (grouped kernels)."""
@@ -240,12 +186,12 @@ class TestScenarioEquivalence:
             vectorized=False, cc=MIX, num_flows=100,
             scenario=early_scenario("single-link-cut"),
         )
-        soa = run_sim(
+        vector = run_sim(
             vectorized=True, cc=MIX, num_flows=100,
             scenario=early_scenario("single-link-cut"),
         )
-        assert_results_identical(scalar, soa)
-        assert_scenario_metrics_identical(scalar, soa)
+        assert_results_identical(scalar, vector)
+        assert_scenario_metrics_identical(scalar, vector)
 
     def test_overlapping_faults_and_capacity_events(self):
         # an explicit cut overlapping a brownout plus a surge: exercises
@@ -333,34 +279,33 @@ class TestRttShorteningRerouteEquivalence:
         ids=["dcqcn", "hpcc", "timely", "dctcp", "ideal", "mixed"],
     )
     def test_repeated_delivery_matches_scalar(self, cc):
-        # the SoA run carries the observability plane, which both proves
-        # the slow path ran (slow_path.deliver_repeated) and — compared
-        # against the uninstrumented scalar run — that instrumentation
-        # leaves the numerics untouched
-        soa = self.run_reroute(vectorized=True, cc=cc, instrumentation=True)
-        repeated = soa.stats["counters"].get("slow_path.deliver_repeated", 0)
+        # the vectorized run carries the observability plane, which both
+        # proves the slow path ran (slow_path.deliver_repeated) and —
+        # compared against the uninstrumented scalar run — that
+        # instrumentation leaves the numerics untouched
+        vector = self.run_reroute(vectorized=True, cc=cc, instrumentation=True)
+        repeated = vector.stats["counters"].get("slow_path.deliver_repeated", 0)
         assert repeated > 0, "the repeated-delivery path never ran"
-        assert soa.scenario_metrics.total_rerouted > 0
-        assert soa.stats["counters"]["slow_path.reroutes"] > 0
-        assert len(soa.records) > 0
+        assert vector.scenario_metrics.total_rerouted > 0
+        assert vector.stats["counters"]["slow_path.reroutes"] > 0
+        assert len(vector.records) > 0
         scalar = self.run_reroute(vectorized=False, cc=cc)
         assert scalar.stats is None
-        assert_results_identical(scalar, soa)
-        assert_scenario_metrics_identical(scalar, soa)
+        assert_results_identical(scalar, vector)
+        assert_scenario_metrics_identical(scalar, vector)
 
 
 class TestHighConcurrencyEquivalence:
-    """≥1500 concurrent flows with mid-run reroutes: the SoA acceptance
-    case.  Sustained concurrency at this scale plus a link-down/link-up
-    window exercises FlowTable slot churn, the slot-keyed feedback delay
-    line, the epoch guard and the flatnonzero-based re-validation sweep —
-    and the result must still be bit-for-bit identical across all three
-    update cores."""
+    """≥1500 concurrent flows with mid-run reroutes.  Sustained
+    concurrency at this scale plus a link-down/link-up window exercises
+    FlowTable slot churn, the slot-keyed feedback delay line, the epoch
+    guard and the flatnonzero-based re-validation sweep — and the result
+    must still be bit-for-bit identical to the scalar core."""
 
     NUM_FLOWS = 1500
     WINDOW_S = 0.08
 
-    def run_high_concurrency(self, vectorized, soa=True):
+    def run_high_concurrency(self, vectorized):
         topology = build_testbed8(capacity_scale=0.1)
         paths = _testbed8_pathset(topology)
         hosts = topology.host_groups["DC1"].count
@@ -388,7 +333,6 @@ class TestHighConcurrencyEquivalence:
         config = SimulationConfig(
             seed=11,
             vectorized=vectorized,
-            soa=soa,
             max_sim_time_s=self.WINDOW_S,
             drain_timeout_s=self.WINDOW_S,
         )
@@ -398,24 +342,21 @@ class TestHighConcurrencyEquivalence:
         )
         return sim.run()
 
-    def test_all_three_cores_bitwise_identical(self):
+    def test_scalar_and_default_core_bitwise_identical(self):
         scalar = self.run_high_concurrency(vectorized=False)
-        legacy = self.run_high_concurrency(vectorized=True, soa=False)
-        soa = self.run_high_concurrency(vectorized=True, soa=True)
+        vector = self.run_high_concurrency(vectorized=True)
         # the run is cut at the window, so some flows must still be live
         # (sustained concurrency) and some must have finished (slot churn)
-        assert soa.unfinished_flows > 1000
-        assert len(soa.records) > 100
-        assert soa.scenario_metrics.total_disrupted > 0
+        assert vector.unfinished_flows > 1000
+        assert len(vector.records) > 100
+        assert vector.scenario_metrics.total_disrupted > 0
         assert (
-            soa.scenario_metrics.total_rerouted
-            + soa.scenario_metrics.total_restored
+            vector.scenario_metrics.total_rerouted
+            + vector.scenario_metrics.total_restored
             > 0
         )
-        assert_results_identical(scalar, legacy)
-        assert_results_identical(scalar, soa)
-        assert_scenario_metrics_identical(scalar, soa)
-        assert_scenario_metrics_identical(legacy, soa)
+        assert_results_identical(scalar, vector)
+        assert_scenario_metrics_identical(scalar, vector)
 
 
 class TestCorrelatedScenarioEquivalence:
@@ -433,22 +374,16 @@ class TestCorrelatedScenarioEquivalence:
         fired = [o for o in scalar.scenario_metrics.outcomes if o.applied_s is not None]
         assert fired, f"{name}: no event fired; the equivalence case is vacuous"
         assert any(o.links_affected > 0 for o in fired)
-        for kwargs in (
-            dict(vectorized=True),                  # cc_blocks (default SoA)
-            dict(vectorized=True, soa=False),       # legacy object core
-            dict(vectorized=True, cc_blocks=False), # object-gather dispatch
-            dict(vectorized=True, batched=False),   # per-flow control plane
-        ):
-            other = run_sim(scenario=scenario, **kwargs)
-            assert_results_identical(scalar, other)
-            assert_scenario_metrics_identical(scalar, other)
+        vector = run_sim(vectorized=True, scenario=scenario)
+        assert_results_identical(scalar, vector)
+        assert_scenario_metrics_identical(scalar, vector)
 
     def test_conduit_cut_mixed_fleet(self):
         scenario = early_scenario("conduit-cut")
         scalar = run_sim(vectorized=False, cc=MIX, scenario=scenario)
-        soa = run_sim(vectorized=True, cc=MIX, scenario=scenario)
-        assert_results_identical(scalar, soa)
-        assert_scenario_metrics_identical(scalar, soa)
+        vector = run_sim(vectorized=True, cc=MIX, scenario=scenario)
+        assert_results_identical(scalar, vector)
+        assert_scenario_metrics_identical(scalar, vector)
 
     def test_empty_timeline_matches_no_scenario(self):
         """A scenario with no events (and no recurring expansion) leaves

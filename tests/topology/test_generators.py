@@ -1,5 +1,7 @@
 """Properties of the seeded parametric fabric generator."""
 
+import dataclasses
+
 import pytest
 
 from repro.topology import CONTINENT_400, FabricSpec, build_fabric, fabric_pathset
@@ -117,3 +119,27 @@ class TestValidation:
     def test_rejects_nonpositive_capacity_scale(self):
         with pytest.raises(ValueError):
             build_fabric(SMALL, capacity_scale=0.0)
+
+    def test_rejects_negative_backbone_chords(self):
+        with pytest.raises(ValueError, match="backbone_chords"):
+            FabricSpec(backbone_chords=-3).validate()
+        with pytest.raises(ValueError, match="backbone_chords"):
+            build_fabric(dataclasses.replace(SMALL, backbone_chords=-3))
+
+    @pytest.mark.parametrize("hosts", [0, -2])
+    def test_rejects_nonpositive_hosts_per_dc(self, hosts):
+        with pytest.raises(ValueError, match="hosts_per_dc"):
+            FabricSpec(hosts_per_dc=hosts).validate()
+        with pytest.raises(ValueError, match="hosts_per_dc"):
+            build_fabric(dataclasses.replace(SMALL, hosts_per_dc=hosts))
+
+    @pytest.mark.parametrize("rate", [0.0, -10.0])
+    def test_rejects_nonpositive_nic_gbps(self, rate):
+        with pytest.raises(ValueError, match="nic_gbps"):
+            FabricSpec(nic_gbps=rate).validate()
+        with pytest.raises(ValueError, match="nic_gbps"):
+            build_fabric(dataclasses.replace(SMALL, nic_gbps=rate))
+
+    def test_zero_backbone_chords_still_allowed(self):
+        topo = build_fabric(dataclasses.replace(SMALL, backbone_chords=0))
+        assert len(topo.dcs) == SMALL.num_dcs
