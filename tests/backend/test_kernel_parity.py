@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.backend import available_backends, get_backend
+from repro.backend.numpy_ref import NumpyBackend
 
 BACKENDS = available_backends()
 
@@ -194,6 +195,108 @@ class TestNumpyBranchCoverage:
         want = np.zeros(60)
         np.add.at(want, idx, values)
         np.testing.assert_array_equal(get_backend("numpy").scatter_add(60, idx, values), want)
+
+
+class _WalkOnlyBackend(NumpyBackend):
+    """The numpy backend with uniform-length detection turned off.
+
+    Every geometry takes the ``reduceat`` / masked-walk branch, so on a
+    uniform layout it computes, from the same inputs, what the reshape
+    branch computes.
+    """
+
+    def _uniform_length(self, n_lanes, starts, lengths):
+        return None
+
+
+def _bits(a) -> np.ndarray:
+    """Raw float64 bit patterns: tells ``-0.0`` from ``+0.0``."""
+    return np.ascontiguousarray(np.asarray(a, dtype=np.float64)).view(np.int64)
+
+
+def _assert_bitwise(got, want) -> None:
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+#: segment layouts — uniform widths take the reshape branch, "mixed" the
+#: ``reduceat`` / masked walk (random hop counts 1..6, contiguous)
+LAYOUTS = ["uniform-1", "uniform-2", "uniform-4", "uniform-7", "mixed"]
+#: lane value families — IEEE special values are where a reordered or
+#: re-seeded accumulation would first show
+KINDS = ["normal", "signed_zeros", "nonfinite"]
+
+
+def _layout(name: str, rng) -> tuple:
+    if name == "mixed":
+        lengths = rng.integers(1, 7, size=40).astype(np.int64)
+        assert len(set(lengths.tolist())) > 1
+    else:
+        lengths = np.full(40, int(name.split("-")[1]), dtype=np.int64)
+    starts = np.concatenate(([0], np.cumsum(lengths)[:-1])).astype(np.int64)
+    return starts, lengths
+
+
+def _lane_values(kind: str, n: int, rng) -> np.ndarray:
+    values = rng.normal(size=n)
+    if kind == "signed_zeros":
+        pick = rng.random(n)
+        values[pick < 0.3] = 0.0
+        values[pick > 0.7] = -0.0
+    elif kind == "nonfinite":
+        pick = rng.random(n)
+        values[pick < 0.05] = np.nan
+        values[(pick >= 0.05) & (pick < 0.1)] = np.inf
+        values[(pick >= 0.1) & (pick < 0.15)] = -np.inf
+    return values
+
+
+class TestBranchAgreement:
+    """Both branches of each merged kernel equal the loop oracle bit for bit.
+
+    The vectorized core's bit-identity to the scalar specification rests
+    on the reshape branch and the walk branch accumulating in the same
+    order as the oracle, signed zeros and NaN/inf propagation included.
+    """
+
+    @pytest.mark.parametrize("op", ["sum", "prod", "min", "max"])
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_segment_reduce(self, layout, kind, op):
+        rng = np.random.default_rng(17)
+        starts, lengths = _layout(layout, rng)
+        values = _lane_values(kind, int(lengths.sum()), rng)
+        merged = get_backend("numpy")
+        with np.errstate(invalid="ignore"):
+            want = merged._segment_reduce_loop(values, starts, lengths, op)
+            got_merged = merged.segment_reduce(values, starts, lengths, op)
+            got_walk = _WalkOnlyBackend().segment_reduce(values, starts, lengths, op)
+        _assert_bitwise(got_merged, want)
+        _assert_bitwise(got_walk, want)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_path_signals(self, layout, kind):
+        rng = np.random.default_rng(23)
+        starts, lengths = _layout(layout, rng)
+        num_links = 13
+        idx = rng.integers(0, num_links, size=int(lengths.sum())).astype(np.intp)
+        not_marked_links = np.abs(_lane_values(kind, num_links, rng))
+        delay_links = _lane_values(kind, num_links, rng)
+        merged = get_backend("numpy")
+        with np.errstate(invalid="ignore"):
+            want_nm = merged._segment_reduce_loop(
+                not_marked_links[idx], starts, lengths, "prod"
+            )
+            want_qd = merged._segment_reduce_loop(
+                delay_links[idx], starts, lengths, "sum"
+            )
+        for bk in (merged, _WalkOnlyBackend()):
+            with np.errstate(invalid="ignore"):
+                nm, qd = bk.path_signals(
+                    idx, starts, lengths, not_marked_links, delay_links
+                )
+            _assert_bitwise(nm, want_nm)
+            _assert_bitwise(qd, want_qd)
 
 
 # --------------------------------------------------------------------- #
